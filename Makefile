@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test test-all fuzz verify coverage bench bench-small bench-sim bench-serve bench-fleet bench-smoke serve-smoke serve-fleet-smoke stream-smoke tech-smoke pareto-smoke profile-smoke report examples clean
+.PHONY: install test test-all fuzz verify coverage bench bench-small bench-sim bench-serve bench-fleet bench-smoke serve-smoke serve-fleet-smoke stream-smoke tech-smoke pareto-smoke profile-smoke char-smoke report examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -105,6 +105,12 @@ coverage:
 # processes), and a traced serve request returns its span summary.
 profile-smoke:
 	PYTHONPATH=src python scripts/profile_smoke.py
+
+# Cold characterization end to end through the benchmark runner: the
+# char_narrow workload for ~2 s; exits 1 unless every job succeeds with
+# bit-identical coefficients on every pass (benchmarks/e2e/README.md).
+char-smoke:
+	python3 benchmarks/e2e/run.py --workload char_narrow --seed 3 --seconds 2
 
 report:
 	python -m repro.cli reproduce -o REPORT.txt

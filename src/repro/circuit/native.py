@@ -197,10 +197,13 @@ int32_t repro_relax(
 
 /* Fused toggle-plane decode: bit-sliced planes (program-row order) to a
  * dense float64 count matrix in *net* order, plus per-lane uint32
- * totals, in one pass.  Counts are small integers (< 2^n_planes <= 256)
- * so the float64 stores are exact -- the matrix holds bit-for-bit the
- * same values as toggles.astype(float64) on the numpy path, and the
- * BLAS charge accounting downstream stays verbatim-identical.  Eight
+ * totals, in one pass.  Decodes the n_lanes lanes starting at word
+ * word0 of each plane row, so a caller can walk a chunk in fixed lane
+ * blocks through one small output buffer.  Counts are small integers
+ * (< 2^n_planes <= 256) so the float64 stores are exact -- the matrix
+ * holds bit-for-bit the same values as toggles.astype(float64) on the
+ * numpy path, and the BLAS charge accounting downstream stays
+ * verbatim-identical.  Eight
  * lanes decode per LUT step (one byte of the packed word spreads to
  * eight count bytes; with n_planes <= 8 the per-byte accumulator cannot
  * carry across lanes). */
@@ -209,9 +212,10 @@ void repro_decode(
     int32_t n_planes,
     int64_t n_rows,
     int64_t n_words,
+    int64_t word0,             /* first decoded word of each row     */
     const int64_t *row_of_net, /* [n_nets] net -> program row        */
     int64_t n_nets,
-    int64_t n_lanes,
+    int64_t n_lanes,           /* lanes decoded, from word0 on       */
     double *out,               /* [n_nets, n_lanes]                  */
     uint32_t *totals)          /* [n_lanes]                          */
 {
@@ -233,8 +237,8 @@ void repro_decode(
     for (int64_t net = 0; net < n_nets; net++) {
         int64_t row = row_of_net[net];
         double *dst = out + net * n_lanes;
-        const uint64_t *pr = planes + row * n_words;
-        for (int64_t w = 0; w < n_words; w++) {
+        const uint64_t *pr = planes + row * n_words + word0;
+        for (int64_t w = 0; w < n_words - word0; w++) {
             int64_t lane0 = w * 64;
             int64_t nl = n_lanes - lane0;
             if (nl <= 0)
@@ -382,7 +386,7 @@ def native_kernel():
         dec = lib.repro_decode
         dec.argtypes = [
             _U64, ctypes.c_int32,
-            ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             _I64, ctypes.c_int64, ctypes.c_int64,
             _F64, _U32,
         ]
@@ -512,20 +516,28 @@ def decode_native(
     n_lanes: int,
     out: np.ndarray,
     totals: np.ndarray,
+    word_offset: int = 0,
 ) -> None:
     """Fused plane decode into preallocated ``float64``/``uint32`` buffers.
 
     ``planes`` is the contiguous ``[n_planes, R, W]`` in-use slice of the
-    relax plane buffer (program-row order); ``out[net, lane]`` receives
-    the exact integer toggle count as float64 and ``totals[lane]`` the
+    relax plane buffer (program-row order).  The ``n_lanes`` lanes from
+    word ``word_offset`` on are decoded: ``out[net, lane]`` receives the
+    exact integer toggle count as float64 and ``totals[lane]`` the
     per-lane sum.  Requires ``n_planes <= 8`` (counts < 256) — callers
     fall back to the numpy decode beyond that.
     """
     fn = native_decode()
     n_planes, n_rows, n_words = planes.shape
+    if not 0 <= word_offset or n_lanes > 64 * (n_words - word_offset):
+        raise ValueError(
+            f"{n_lanes} lanes from word {word_offset} exceed {n_words} words"
+        )
+    if out.shape != (len(row_of_net), n_lanes) or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous [n_nets, n_lanes] array")
     fn(
         planes.reshape(-1), np.int32(n_planes),
-        np.int64(n_rows), np.int64(n_words),
+        np.int64(n_rows), np.int64(n_words), np.int64(word_offset),
         row_of_net, np.int64(len(row_of_net)), np.int64(n_lanes),
         out.reshape(-1), totals,
     )

@@ -18,7 +18,7 @@ Three interchangeable kernels produce the trace (see docs/SIMULATION.md):
   :mod:`repro.circuit.program`: the packed lane layout plus fused
   (level, type) instructions and event-driven relaxation (no per-step
   full-matrix work);
-* ``engine="auto"`` (default) — packed for streams long enough to fill
+* ``engine="auto"`` (default) — compiled for streams long enough to fill
   words, boolean otherwise (and on hosts without packed support).
 
 Bit-for-bit parity between the engines is the contract: all feed the
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -70,8 +70,15 @@ DEFAULT_CHUNK_PACKED = 2048
 DEFAULT_CHUNK_COMPILED = 2048
 
 #: Streams shorter than this gain nothing from packing (the pack/unpack
-#: overhead exceeds one word's worth of lane parallelism).
+#: overhead exceeds one word's worth of lane parallelism), so ``auto``
+#: keeps them on the boolean engine.
 AUTO_PACKED_MIN_CYCLES = 64
+
+#: Lanes per block of the compiled engine's fused decode + dgemv (a
+#: multiple of 64, i.e. whole packed words).  Each block decodes into one
+#: per-simulator ``[n_nets, FUSED_BLOCK_LANES]`` float64 buffer, so the
+#: dense count matrix never scales with the chunk length.
+FUSED_BLOCK_LANES = 256
 
 
 @dataclass(frozen=True)
@@ -148,10 +155,10 @@ class PowerSimulator:
             eighth of that packed).  ``None`` picks an engine-appropriate
             default.
         engine: ``"bool"``, ``"packed"``, ``"compiled"`` or ``"auto"``
-            (see module doc).  ``"compiled"`` is opt-in: it shares the
-            packed lane layout (and its little-endian requirement) and is
-            the fastest on long streams, but ``"auto"`` stays conservative
-            and resolves to ``"packed"``.
+            (see module doc).  ``"auto"`` resolves to ``"compiled"``, the
+            fastest engine, for streams of at least
+            :data:`AUTO_PACKED_MIN_CYCLES` transitions on little-endian
+            hosts, and to ``"bool"`` otherwise.
 
     Attributes:
         last_stats: :class:`SimulationStats` of the most recent
@@ -198,10 +205,11 @@ class PowerSimulator:
             )
         self.engine = engine
         self.last_stats: Optional[SimulationStats] = None
-        # Reusable buffers of the compiled engine's fused native path,
-        # keyed by (n_lanes, n_words); see _fused_buffers.
-        self._fused_cache: Dict[Tuple[int, int], Tuple[
-            np.ndarray, np.ndarray, np.ndarray]] = {}
+        # Reusable buffers of the compiled engine's fused native path
+        # (one set per simulator, see _fused_buffers).
+        self._fused: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = (
+            None
+        )
 
     @property
     def n_inputs(self) -> int:
@@ -213,7 +221,7 @@ class PowerSimulator:
         if self.engine != "auto":
             return self.engine
         if PACKED_AVAILABLE and n_cycles >= AUTO_PACKED_MIN_CYCLES:
-            return "packed"
+            return "compiled"
         return "bool"
 
     def _resolve_chunk(self, engine: str) -> int:
@@ -430,12 +438,23 @@ class PowerSimulator:
         row_of_net = program.row_of_net
         if self.glitch_aware:
             # Fused native path: relax into a persistent plane buffer,
-            # then one C pass decodes planes -> net-ordered float64
-            # counts + per-lane totals into persistent buffers (no
-            # multi-MB temporaries per chunk — the allocation churn, not
-            # the arithmetic, dominates sustained multi-chunk runs).
-            # The dgemv then runs on bit-for-bit the matrix the shared
-            # astype path would build, so charge stays bit-identical.
+            # then walk the chunk in FUSED_BLOCK_LANES-lane blocks: one C
+            # pass decodes a block's planes -> net-ordered float64 counts
+            # + per-lane totals into a persistent [n_nets, block] buffer,
+            # and that block's dgemv writes its slice of the chunk charge.
+            # No temporaries scale with the chunk (the allocation churn,
+            # not the arithmetic, dominates sustained multi-chunk runs).
+            # Each dgemv runs on bit-for-bit the columns the shared
+            # astype path would build, and blocks start on whole words.
+            # Charge then matches the whole-chunk dgemv of the bool and
+            # packed engines bit for bit *only if* the BLAS sums each
+            # output element in an order independent of how many rows
+            # the call has.  That is an assumption about the BLAS
+            # library (OpenBLAS holds it: 256 is a multiple of its
+            # 4-row tail), not something this code guarantees;
+            # tests/circuit/test_program.py::test_blocked_fused_parity
+            # checks it on the host with ragged lane counts (903, 3001,
+            # chunk 999), so a BLAS that breaks it fails the suite.
             fused = (
                 not need_functional
                 and program.max_planes <= 8
@@ -443,31 +462,37 @@ class PowerSimulator:
                 and native_decode() is not None
             )
             if fused:
-                planes_buf, counts_f, totals_u32 = self._fused_buffers(
-                    program, n_lanes, n_words
+                planes_buf, counts_buf, totals_u32 = self._fused_buffers(
+                    program, n_words
                 )
                 final, accumulator, _ = program.relax(
                     settled, new_packed, planes_buffer=planes_buf
                 )
                 n_used = len(accumulator.planes)
-                if n_used == 0:
-                    pre = (np.zeros(n_lanes),
-                           np.zeros(n_lanes, dtype=np.int64))
-                else:
+                chunk_charge = np.zeros(n_lanes)
+                chunk_totals = np.zeros(n_lanes, dtype=np.int64)
+                if n_used:
                     row64 = program.__dict__.get("_row_of_net64")
                     if row64 is None:
                         row64 = np.ascontiguousarray(
                             row_of_net, dtype=np.int64
                         )
                         program.__dict__["_row_of_net64"] = row64
-                    decode_native(
-                        planes_buf[:n_used], row64, n_lanes,
-                        counts_f, totals_u32,
-                    )
-                    chunk_charge = np.empty(n_lanes)
-                    np.dot(self.compiled.net_caps, counts_f,
-                           out=chunk_charge)
-                    pre = (chunk_charge, totals_u32.astype(np.int64))
+                    caps = self.compiled.net_caps
+                    n_nets = len(caps)
+                    for lo in range(0, n_lanes, FUSED_BLOCK_LANES):
+                        hi = min(lo + FUSED_BLOCK_LANES, n_lanes)
+                        counts = counts_buf[: n_nets * (hi - lo)].reshape(
+                            n_nets, hi - lo
+                        )
+                        totals = totals_u32[: hi - lo]
+                        decode_native(
+                            planes_buf[:n_used], row64, hi - lo,
+                            counts, totals, word_offset=lo // 64,
+                        )
+                        np.dot(caps, counts, out=chunk_charge[lo:hi])
+                        chunk_totals[lo:hi] = totals
+                pre = (chunk_charge, chunk_totals)
                 return None, None, extract_lane(final, n_lanes - 1), pre
             final, accumulator, _ = program.relax(settled, new_packed)
             if accumulator.planes:
@@ -494,28 +519,37 @@ class PowerSimulator:
                 (None, _totals(toggles)))
 
     def _fused_buffers(
-        self, program, n_lanes: int, n_words: int
+        self, program, n_words: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Persistent per-(lanes, words) buffers for the fused native path.
+        """The fused native path's buffers, one set per simulator.
 
-        One plane buffer, one float64 count matrix and one uint32 totals
-        vector, reused across chunks: fresh multi-MB allocations per
-        chunk thrash the allocator and roughly triple the decode +
-        convert cost in sustained runs.
+        A ``[max_planes, n_rows, n_words]`` plane view into a flat
+        buffer that only grows (to the longest chunk seen), a flat
+        float64 count buffer of ``n_nets * FUSED_BLOCK_LANES`` and a
+        ``uint32`` block totals vector.  The count buffer is fixed by
+        the lane block, never by the chunk length (a whole-chunk
+        float64 matrix costs 8 bytes per net and lane); reusing all
+        three avoids fresh multi-MB allocations per chunk, which thrash
+        the allocator in sustained runs.
         """
-        key = (n_lanes, n_words)
-        bufs = self._fused_cache.get(key)
-        if bufs is None:
-            bufs = (
-                np.zeros(
-                    (program.max_planes, program.n_rows, n_words),
-                    dtype=np.uint64,
-                ),
-                np.empty((self.compiled.n_nets, n_lanes), dtype=np.float64),
-                np.empty(n_lanes, dtype=np.uint32),
+        if self._fused is None:
+            self._fused = (
+                np.zeros(0, dtype=np.uint64),
+                np.empty(self.compiled.n_nets * FUSED_BLOCK_LANES),
+                np.empty(FUSED_BLOCK_LANES, dtype=np.uint32),
             )
-            self._fused_cache[key] = bufs
-        return bufs
+        planes, counts, totals = self._fused
+        plane_words = program.max_planes * program.n_rows * n_words
+        if planes.size < plane_words:
+            planes = np.zeros(plane_words, dtype=np.uint64)
+            self._fused = (planes, counts, totals)
+        return (
+            planes[:plane_words].reshape(
+                program.max_planes, program.n_rows, n_words
+            ),
+            counts,
+            totals,
+        )
 
     def average_charge(self, input_bits: np.ndarray) -> float:
         """Convenience: mean per-cycle charge over a stream."""

@@ -75,11 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["random", "uniform_hd", "mixed", "corner"])
     p.add_argument("--engine", default="auto",
                    choices=["auto", "bool", "packed", "compiled"],
-                   help="simulation kernel: bit-packed uint64 lanes "
-                        "('packed'), byte-per-value ('bool'), the "
-                        "straight-line instruction tape ('compiled', "
-                        "fastest on long streams), or pick per stream "
-                        "('auto'); results are bit-identical")
+                   help="simulation kernel: the straight-line "
+                        "instruction tape ('compiled', fastest on long "
+                        "streams), byte-per-value ('bool'), bit-packed "
+                        "uint64 lanes ('packed'), or pick per stream "
+                        "('auto': compiled from 64 transitions, bool "
+                        "below); results are bit-identical")
     p.add_argument("--jobs", type=int, default=1,
                    help="characterize jobs in parallel with this many "
                         "worker processes")

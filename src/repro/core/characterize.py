@@ -31,7 +31,7 @@ from .hd_model import HdPowerModel
 #: an unchanged configuration — the persistent model cache
 #: (:mod:`repro.runtime.cache`) keys on it, so bumping invalidates every
 #: stale cache entry at once.
-CHARACTERIZATION_VERSION = "2"
+CHARACTERIZATION_VERSION = "3"
 
 
 @dataclass
@@ -75,6 +75,34 @@ def random_input_bits(
     return rng.integers(0, 2, size=(n_patterns, width), dtype=np.int8).astype(bool)
 
 
+def _toggle_masks(h: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Boolean masks with exactly ``h[i]`` set bits, placed by ``keys[i]``.
+
+    Row ``i`` sets the positions of its ``h[i]`` smallest keys.  With
+    i.i.d. continuous keys the ranks form a uniform random permutation,
+    so given ``h`` the set positions are a uniform ``h``-subset.  One
+    sort plus a compare against each row's ``h``-th smallest key does
+    it; rows with tied keys (probability ~``m**2 / 2**54`` per row for
+    53-bit doubles) would set too many bits, so they are caught by the
+    total count and the batch is re-ranked exactly (ties broken by
+    position).
+    """
+    kth = np.sort(keys, axis=1)[np.arange(len(h)), h - 1]
+    masks = keys <= kth[:, None]
+    if np.count_nonzero(masks) != int(h.sum()):
+        ranks = np.argsort(np.argsort(keys, axis=1, kind="stable"), axis=1)
+        masks = ranks < h[:, None]
+    return masks
+
+
+def _random_toggle_masks(
+    rng: np.random.Generator, n: int, width: int
+) -> np.ndarray:
+    """``n`` masks, each toggling ``h ~ U{1..width}`` uniform positions."""
+    h = rng.integers(1, width + 1, size=n)
+    return _toggle_masks(h, rng.random((n, width)))
+
+
 def uniform_hd_input_bits(
     n_patterns: int, width: int, seed: int = 0
 ) -> np.ndarray:
@@ -84,23 +112,23 @@ def uniform_hd_input_bits(
     around ``m/2``, so for wide modules the low- and high-Hd classes are
     never observed and their coefficients would be extrapolations.  This
     stream starts from a uniform random vector and XORs, per step, a mask of
-    ``h`` uniformly-chosen bit positions with ``h`` drawn uniformly from
-    ``1..m``.  The marginal stays uniform and, conditioned on ``Hd = h``,
-    the toggled positions are uniform — i.e. the same class-conditional
-    distribution as the plain random stream — so the fitted ``p_i`` are
-    unbiased while every class receives ``~n/m`` samples (importance
-    sampling over event classes).
+    exactly ``h`` uniformly-chosen bit positions with ``h`` drawn uniformly
+    from ``1..m``.  The marginal stays uniform and, conditioned on
+    ``Hd = h``, the toggled positions are uniform — i.e. the same
+    class-conditional distribution as the plain random stream — so the
+    fitted ``p_i`` are unbiased while every class receives ``~n/m`` samples
+    (importance sampling over event classes).
+
+    The whole batch is drawn at once: every step's ``h`` in one call, the
+    masks from per-row random keys (:func:`_toggle_masks`), and the walk
+    as an XOR prefix scan down the rows.
     """
     rng = np.random.default_rng(seed)
-    bits = np.empty((max(n_patterns, 1), width), dtype=bool)
-    current = rng.integers(0, 2, size=width).astype(bool)
-    bits[0] = current
-    for j in range(1, len(bits)):
-        h = int(rng.integers(1, width + 1))
-        positions = rng.choice(width, size=h, replace=False)
-        current = current.copy()
-        current[positions] = ~current[positions]
-        bits[j] = current
+    n = max(n_patterns, 1)
+    bits = np.empty((n, width), dtype=bool)
+    bits[0] = rng.integers(0, 2, size=width).astype(bool)
+    bits[1:] = _random_toggle_masks(rng, n - 1, width)
+    np.bitwise_xor.accumulate(bits, axis=0, out=bits)
     return bits[:n_patterns]
 
 
@@ -112,38 +140,30 @@ def corner_input_bits(
     Uniform random patterns almost never produce transitions where *all*
     non-switching bits are 0 (or all are 1) — exactly the subclasses the
     enhanced model's Figure-2 curves need.  This stream emits pairs
-    ``(u, u ^ mask)`` whose support is a random subset ``S`` while the bits
-    outside ``S`` are all-zero, all-one or random, cycling through the three
-    fill styles.
+    ``(u, u ^ mask)`` whose support is a random subset ``S`` of ``h``
+    positions (``h`` uniform on ``1..m``, ``S`` uniform given ``h``), with
+    random bits of ``u`` on ``S`` while the bits outside ``S`` are
+    all-zero, all-one or random, cycling through the three fill styles
+    pair by pair.
     """
     rng = np.random.default_rng(seed)
     # Always generate whole (u, v) pairs: with an odd ``n_patterns`` a
-    # half-open pair would otherwise leave the preallocated last row
-    # all-zeros, injecting a spurious vector (and a fake high-Hd seam
-    # transition) into the stream.  Rounding up and truncating keeps the
-    # requested length while the dangling row is a legitimate pair head.
-    size = max(n_patterns, 2)
-    size += size % 2
-    bits = np.zeros((size, width), dtype=bool)
-    row = 0
-    style = 0
-    while row + 1 < len(bits):
-        hd = int(rng.integers(1, width + 1))
-        support = rng.choice(width, size=hd, replace=False)
-        if style == 0:
-            fill = np.zeros(width, dtype=bool)
-        elif style == 1:
-            fill = np.ones(width, dtype=bool)
-        else:
-            fill = rng.integers(0, 2, size=width).astype(bool)
-        style = (style + 1) % 3
-        u = fill.copy()
-        u[support] = rng.integers(0, 2, size=hd).astype(bool)
-        v = u.copy()
-        v[support] = ~v[support]
-        bits[row] = u
-        bits[row + 1] = v
-        row += 2
+    # half-open pair would otherwise leave a spurious vector (and a fake
+    # high-Hd seam transition) in the stream.  Rounding up and truncating
+    # keeps the requested length while the dangling row is a legitimate
+    # pair head; every draw depends only on the pair count, so an odd
+    # stream is a strict prefix of the next even one.
+    n_pairs = (max(n_patterns, 2) + 1) // 2
+    support = _random_toggle_masks(rng, n_pairs, width)
+    fill = np.zeros((n_pairs, width), dtype=bool)
+    fill[1::3] = True
+    fill[2::3] = rng.integers(0, 2, size=fill[2::3].shape, dtype=bool)
+    u = np.where(
+        support, rng.integers(0, 2, size=(n_pairs, width), dtype=bool), fill
+    )
+    bits = np.empty((2 * n_pairs, width), dtype=bool)
+    bits[0::2] = u
+    bits[1::2] = u ^ support
     return bits[:n_patterns]
 
 
@@ -160,7 +180,7 @@ def mixed_input_bits(
         uniform_hd_input_bits(n_patterns - n_corner, width, seed),
         corner_input_bits(n_corner, width, seed + 1),
     ]
-    return np.vstack([b for b in blocks if len(b)])
+    return np.vstack(blocks)
 
 
 def characterize_module(

@@ -54,7 +54,9 @@ class ExperimentConfig:
             literal stream).
         enhanced_stimulus: Characterization stream for the enhanced model.
         engine: Simulation kernel ("auto", "bool", "packed" or
-            "compiled").  Engines are bit-identical, so this is a speed
+            "compiled").  The default "auto" runs the compiled tape on
+            streams of at least 64 transitions and "bool" on shorter
+            ones.  Engines are bit-identical, so this is a speed
             knob, not a provenance knob — the persistent cache
             deliberately excludes it from its keys (see
             :func:`repro.runtime.cache._config_payload`).

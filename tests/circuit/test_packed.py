@@ -144,10 +144,12 @@ def test_packed_chunk_size_invariance():
 # Engine selection
 # ----------------------------------------------------------------------
 def test_auto_resolution_thresholds():
+    """auto picks the compiled tape once a stream fills a word."""
     module = make_module("ripple_adder", 4)
     sim = PowerSimulator(module.compiled, engine="auto")
     assert sim.resolve_engine(AUTO_PACKED_MIN_CYCLES - 1) == "bool"
-    assert sim.resolve_engine(AUTO_PACKED_MIN_CYCLES) == "packed"
+    assert sim.resolve_engine(AUTO_PACKED_MIN_CYCLES) == "compiled"
+    assert sim.resolve_engine(10**7) == "compiled"
     assert PowerSimulator(module.compiled, engine="bool").resolve_engine(
         10**6
     ) == "bool"
@@ -173,7 +175,7 @@ def test_stats_record_resolved_engine():
     bits = _stream(module, 130, seed=6)
     sim = PowerSimulator(module.compiled, engine="auto")
     trace = sim.simulate(bits)
-    assert sim.last_stats.engine == "packed"
+    assert sim.last_stats.engine == "compiled"
     assert sim.last_stats.n_cycles == 129
     assert sim.last_stats.total_toggles == int(trace.total_toggles.sum())
     assert sim.last_stats.seconds >= 0.0

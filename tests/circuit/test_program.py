@@ -27,7 +27,12 @@ from repro.circuit.packed import (
     n_words_for,
     pack_lanes,
 )
-from repro.circuit.power import PowerSimulator, PowerTrace
+from repro.circuit.power import (
+    AUTO_PACKED_MIN_CYCLES,
+    FUSED_BLOCK_LANES,
+    PowerSimulator,
+    PowerTrace,
+)
 from repro.circuit.program import _CANON, compile_program, decode_planes
 from repro.circuit.technology import GATE_TYPES
 from repro.modules.library import make_module, module_kinds
@@ -158,11 +163,59 @@ def test_stats_record_compiled_engine():
     assert sim.last_stats.total_toggles == int(trace.total_toggles.sum())
 
 
-def test_auto_never_resolves_to_compiled():
-    """auto stays conservative: compiled is opt-in."""
+def test_auto_resolves_to_compiled():
+    """auto runs word-filling streams on the compiled tape."""
     module = make_module("ripple_adder", 4)
     sim = PowerSimulator(module.compiled, engine="auto")
-    assert sim.resolve_engine(10**7) in ("bool", "packed")
+    assert sim.resolve_engine(AUTO_PACKED_MIN_CYCLES) == "compiled"
+    bits = _stream(module, AUTO_PACKED_MIN_CYCLES + 1, seed=8)
+    auto = sim.simulate(bits)
+    assert sim.last_stats.engine == "compiled"
+    _assert_trace_equal(
+        auto,
+        PowerSimulator(module.compiled, engine="compiled").simulate(bits),
+    )
+
+
+# ----------------------------------------------------------------------
+# Lane-blocked fused decode
+# ----------------------------------------------------------------------
+def _require_fused(module):
+    program = compile_program(module.compiled)
+    if native_tables(program) is None or native_decode() is None:
+        pytest.skip(f"native backend unavailable: {native_status()}")
+
+
+@pytest.mark.parametrize(
+    "n_cycles, chunk_size",
+    [(903, None), (2048, None), (3001, None), (1000, 999), (700, 320)],
+)
+def test_blocked_fused_parity(n_cycles, chunk_size):
+    """Chunks spanning several lane blocks (and ragged last blocks) keep
+    charge bit-identical to the bool and packed engines."""
+    module = make_module("csa_multiplier", 6)
+    _require_fused(module)
+    bits = _stream(module, n_cycles + 1, seed=n_cycles)
+    trace = _parity(module, bits, chunk_size=chunk_size)
+    assert trace.n_cycles == n_cycles
+
+
+def test_fused_buffers_independent_of_chunk_length():
+    """999- and 1000-lane chunks share one buffer set whose count
+    matrix is one lane block, whatever the chunk length."""
+    module = make_module("ripple_adder", 8)
+    _require_fused(module)
+    sim = PowerSimulator(module.compiled, engine="compiled")
+    sim.simulate(_stream(module, 1000, seed=1))
+    first = sim._fused
+    sim.simulate(_stream(module, 1001, seed=2))
+    assert sim._fused is first
+    planes, counts, totals = first
+    assert counts.size == module.compiled.n_nets * FUSED_BLOCK_LANES
+    assert totals.size == FUSED_BLOCK_LANES
+    # A longer chunk grows only the packed plane buffer, never the counts.
+    sim.simulate(_stream(module, 3000, seed=3))
+    assert sim._fused[1] is counts
 
 
 # ----------------------------------------------------------------------

@@ -213,3 +213,123 @@ def test_convergence_reason_no_populated_classes():
     assert result.convergence_reason == "no_populated_classes"
     assert result.history
     assert all(np.isinf(result.history))
+
+
+# ----------------------------------------------------------------------
+# Stimulus laws: the vectorized generators must keep the documented
+# class-conditional distribution (exactly h toggles, h uniform on 1..m,
+# toggled positions uniform given h, uniform marginal).
+# ----------------------------------------------------------------------
+def _step_masks(bits):
+    return bits[1:] != bits[:-1]
+
+
+def _corner_masks(bits):
+    return bits[0::2] != bits[1::2]
+
+
+@pytest.mark.parametrize("width", [1, 7, 65])
+def test_uniform_hd_every_step_in_range(width):
+    hd = _step_masks(uniform_hd_input_bits(3000, width, seed=11)).sum(axis=1)
+    assert hd.min() >= 1
+    assert hd.max() <= width
+
+
+@pytest.mark.parametrize("width", [1, 7, 65])
+def test_corner_pair_hd_in_range(width):
+    hd = _corner_masks(corner_input_bits(3000, width, seed=12)).sum(axis=1)
+    assert hd.min() >= 1
+    assert hd.max() <= width
+
+
+@pytest.mark.parametrize(
+    "masks_of",
+    [
+        lambda: _step_masks(uniform_hd_input_bits(24001, 16, seed=13)),
+        lambda: _corner_masks(corner_input_bits(48000, 16, seed=14)),
+    ],
+    ids=["uniform_hd", "corner"],
+)
+def test_hd_counts_uniform_chi_square(masks_of):
+    from scipy.stats import chisquare
+
+    hd = masks_of().sum(axis=1)
+    counts = np.bincount(hd, minlength=17)[1:]
+    assert chisquare(counts).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "masks_of",
+    [
+        lambda: _step_masks(uniform_hd_input_bits(64001, 8, seed=15)),
+        lambda: _corner_masks(corner_input_bits(128000, 8, seed=16)),
+    ],
+    ids=["uniform_hd", "corner"],
+)
+def test_toggled_positions_uniform_given_hd(masks_of):
+    from scipy.stats import chisquare
+
+    masks = masks_of()
+    hd = masks.sum(axis=1)
+    for h in range(1, 8):
+        per_position = masks[hd == h].sum(axis=0)
+        assert per_position.sum() == h * (hd == h).sum()
+        assert chisquare(per_position).pvalue > 1e-3, h
+
+
+def test_uniform_hd_wide_marginal():
+    ones = uniform_hd_input_bits(8000, 65, seed=17).mean(axis=0)
+    assert np.allclose(ones, 0.5, atol=0.05)
+
+
+@pytest.mark.parametrize(
+    "generate", [uniform_hd_input_bits, corner_input_bits, mixed_input_bits]
+)
+def test_stimulus_deterministic_per_seed(generate):
+    a = generate(500, 12, seed=21)
+    assert np.array_equal(a, generate(500, 12, seed=21))
+    assert not np.array_equal(a, generate(500, 12, seed=22))
+
+
+@pytest.mark.parametrize(
+    "generate", [uniform_hd_input_bits, corner_input_bits, mixed_input_bits]
+)
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_stimulus_tiny_shapes(generate, n):
+    bits = generate(n, 5, seed=0)
+    assert bits.shape == (n, 5)
+    assert bits.dtype == bool
+
+
+def test_corner_pairs_cycle_all_fill_styles():
+    """Pair k fills the bits outside its support with style k % 3:
+    all-zero, all-one, random."""
+    width = 10
+    bits = corner_input_bits(600, width, seed=23)
+    u, v = bits[0::2], bits[1::2]
+    outside = u == v
+    seen_mixed = False
+    for k in range(len(u)):
+        fill = u[k][outside[k]]
+        if not len(fill):
+            continue
+        if k % 3 == 0:
+            assert not fill.any()
+        elif k % 3 == 1:
+            assert fill.all()
+        else:
+            seen_mixed |= bool(fill.any() and not fill.all())
+    assert seen_mixed
+
+
+def test_toggle_masks_exact_under_tied_keys():
+    """Tied keys would set extra bits; the exact re-rank keeps h."""
+    from repro.core.characterize import _toggle_masks
+
+    keys = np.array([[0.5, 0.5, 0.1, 0.9], [0.2, 0.2, 0.2, 0.2]])
+    h = np.array([2, 3])
+    masks = _toggle_masks(h, keys)
+    np.testing.assert_array_equal(masks.sum(axis=1), h)
+    np.testing.assert_array_equal(masks[0], [True, False, True, False])
+    assert _toggle_masks(np.zeros(0, dtype=int), np.zeros((0, 4))).shape \
+        == (0, 4)

@@ -106,6 +106,50 @@ def test_code_version_invalidates(tmp_path, result, monkeypatch):
     assert cache.load_characterization(new_key) is None
 
 
+def test_version_2_records_are_clean_misses(tmp_path, monkeypatch):
+    """A cache filled before the vectorized stimulus (version "2") is a
+    clean miss now: characterize_jobs recharacterizes and never returns
+    the old record's coefficients."""
+    import repro.runtime.cache as cache_module
+    from repro.runtime.service import (
+        CharacterizationJob,
+        characterization_seed,
+        characterize_jobs,
+    )
+
+    config = ExperimentConfig(n_characterization=300, seed=4)
+    job = CharacterizationJob("ripple_adder", 3, False)
+    seed = characterization_seed(config.seed, job.width, job.enhanced,
+                                 job.kind)
+    # Plant a version-2 record whose coefficients are recognizably not
+    # this job's (a differently seeded run of the same module).
+    planted = characterize_module(
+        make_module("ripple_adder", 3), n_patterns=300, seed=seed + 1
+    )
+    cache = ModelCache(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module, "CHARACTERIZATION_VERSION", "2")
+        old_key = cache.characterization_key(
+            job.kind, job.width, job.enhanced, config, seed
+        )
+        old_path = cache.store_characterization(old_key, planted)
+        served = characterize_jobs([job], config=config, cache=cache)
+        assert served.cache_hits == 1
+
+    report = characterize_jobs(
+        [job], config=config, cache=ModelCache(tmp_path)
+    )
+    assert report.cache_hits == 0
+    assert report.cache_misses == 1
+    fresh = characterize_jobs([job], config=config, cache=None).results[0]
+    got = report.results[0].model.coefficients
+    np.testing.assert_array_equal(got, fresh.model.coefficients)
+    assert not np.array_equal(got, planted.model.coefficients)
+    # The old record is orphaned, not overwritten: `cache clear` reclaims it.
+    assert old_path.exists()
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
 def test_corrupt_entry_is_a_miss(tmp_path, result):
     cache = ModelCache(tmp_path)
     key = cache.characterization_key(

@@ -297,7 +297,7 @@ def test_characterize_json_envelope(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     code = main([
         "characterize", "--kind", "ripple_adder", "--width", "3",
-        "--patterns", "300", "-o", str(model_path), "--json",
+        "--patterns", "800", "-o", str(model_path), "--json",
     ])
     assert code == 0
     captured = capsys.readouterr()
