@@ -13,7 +13,7 @@ test:
 test-all:
 	pytest tests/ -m ''
 
-# Differential fuzzing: bool vs packed vs compiled engines vs the
+# Differential fuzzing: the compiled engine vs the bool reference vs the
 # pure-Python oracle, plus the metamorphic relations
 # (docs/VERIFICATION.md).  Seeded, so a given budget/seed pair is fully
 # reproducible.  The nightly-scale invocation is:
@@ -31,7 +31,7 @@ bench:
 bench-small:
 	REPRO_BENCH_SCALE=small pytest benchmarks/ --benchmark-only -s
 
-# Simulation kernel comparison (bool vs bit-packed vs compiled engine)
+# Simulation kernel comparison (bool reference vs compiled engine)
 # on a 16-bit multiplier; verifies bit-for-bit parity and appends the
 # speedups to BENCH_simulate.json.
 bench-sim:

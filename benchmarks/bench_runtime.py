@@ -57,7 +57,7 @@ def test_parallel_characterization(benchmark, bench_config, tmp_path):
     report = run_once(
         benchmark,
         lambda: characterize_jobs(
-            JOBS, config=config, n_jobs=2, cache=ModelCache(tmp_path)
+            JOBS, config=config, jobs=2, cache=ModelCache(tmp_path)
         ),
     )
     print()
@@ -66,7 +66,7 @@ def test_parallel_characterization(benchmark, bench_config, tmp_path):
     assert all(r.model.coefficients[-1] > 0 for r in report.results)
 
     warm = characterize_jobs(
-        JOBS, config=config, n_jobs=2, cache=ModelCache(tmp_path)
+        JOBS, config=config, jobs=2, cache=ModelCache(tmp_path)
     )
     print("warm:", warm.summary())
     assert warm.cache_hits == len(JOBS) and warm.cache_misses == 0

@@ -1,9 +1,10 @@
-"""Simulation kernel benchmark: compiled vs bit-packed vs boolean engine.
+"""Simulation kernel benchmark: the compiled engine vs the bool reference.
 
 Times a glitch-aware reference simulation of a 16-bit CSA multiplier under
-all three engines, checks the bit-for-bit parity contract, and appends the
+both engines, checks the bit-for-bit parity contract, and appends the
 measurement to ``BENCH_simulate.json`` at the repository root so the
-performance trajectory is tracked run over run.
+performance trajectory is tracked run over run.  Entries recorded before
+the bit-packed engine was removed also carry ``packed_seconds``.
 
 Two entry points:
 
@@ -49,15 +50,16 @@ def _best_of(simulator, bits, repeats=REPEATS):
 
 
 def run_comparison(n_patterns=N_PATTERNS, glitch_weight=1.0, repeats=REPEATS):
-    """Time all three engines on the same stream; returns the record.
+    """Time both engines on the same stream; returns the record.
 
-    Raises ``AssertionError`` if any engine disagrees with the boolean
-    reference — a benchmark of a wrong kernel is worse than no benchmark.
+    Raises ``AssertionError`` if the compiled engine disagrees with the
+    boolean reference — a benchmark of a wrong kernel is worse than no
+    benchmark.
     """
     module = make_module(MODULE_KIND, MODULE_WIDTH)
     bits = _stream(module, n_patterns)
     traces, seconds = {}, {}
-    for engine in ("bool", "packed", "compiled"):
+    for engine in ("bool", "compiled"):
         simulator = PowerSimulator(
             module.compiled,
             glitch_aware=True,
@@ -67,23 +69,20 @@ def run_comparison(n_patterns=N_PATTERNS, glitch_weight=1.0, repeats=REPEATS):
         traces[engine], seconds[engine] = _best_of(
             simulator, bits, repeats=repeats
         )
-    for engine in ("packed", "compiled"):
-        assert np.array_equal(
-            traces["bool"].charge, traces[engine].charge
-        ), f"engine parity broken: charge differs (bool vs {engine})"
-        assert np.array_equal(
-            traces["bool"].total_toggles, traces[engine].total_toggles
-        ), f"engine parity broken: toggle counts differ (bool vs {engine})"
+    assert np.array_equal(
+        traces["bool"].charge, traces["compiled"].charge
+    ), "engine parity broken: charge differs (bool vs compiled)"
+    assert np.array_equal(
+        traces["bool"].total_toggles, traces["compiled"].total_toggles
+    ), "engine parity broken: toggle counts differ (bool vs compiled)"
     return {
         "module": f"{MODULE_KIND}/{MODULE_WIDTH}",
         "n_patterns": n_patterns,
         "glitch_weight": glitch_weight,
         "repeats": repeats,
         "bool_seconds": seconds["bool"],
-        "packed_seconds": seconds["packed"],
         "compiled_seconds": seconds["compiled"],
-        "speedup": seconds["bool"] / seconds["packed"],
-        "compiled_speedup": seconds["packed"] / seconds["compiled"],
+        "compiled_vs_bool_speedup": seconds["bool"] / seconds["compiled"],
         "total_toggles": int(traces["bool"].total_toggles.sum()),
     }
 
@@ -94,7 +93,7 @@ def measure_observability(record):
     Two measurements land in the bench record: the span summary of one
     traced run (what ``--profile`` would show), and the disabled-tracing
     overhead — spans the run *would* open times the measured cost of one
-    disabled ``span()`` call, relative to the packed-engine wall clock.
+    disabled ``span()`` call, relative to the compiled-engine wall clock.
     The product form is stable where an end-to-end re-run diff would
     drown in scheduler noise.
     """
@@ -102,8 +101,8 @@ def measure_observability(record):
 
     module = make_module(MODULE_KIND, MODULE_WIDTH)
     bits = _stream(module, record["n_patterns"])
-    simulator = PowerSimulator(module.compiled, engine="packed")
-    with tracing.trace("bench.simulate", engine="packed") as ctx:
+    simulator = PowerSimulator(module.compiled, engine="compiled")
+    with tracing.trace("bench.simulate", engine="compiled") as ctx:
         simulator.simulate(bits)
     record["span_summary"] = span_summary(ctx)
     spans_opened = len(ctx.records()) - 1  # minus the bench root span
@@ -114,7 +113,7 @@ def measure_observability(record):
         with span("bench.noop"):
             pass
     disabled_cost = (time.perf_counter() - started) / n
-    overhead = spans_opened * disabled_cost / record["packed_seconds"]
+    overhead = spans_opened * disabled_cost / record["compiled_seconds"]
     record["tracing_spans"] = spans_opened
     record["tracing_disabled_overhead"] = overhead
     assert overhead < 0.02, (
@@ -150,16 +149,6 @@ def test_simulate_bool_engine(benchmark):
     assert trace.n_cycles == N_PATTERNS - 1
 
 
-def test_simulate_packed_engine(benchmark):
-    from .conftest import run_once
-
-    module = make_module(MODULE_KIND, MODULE_WIDTH)
-    bits = _stream(module, N_PATTERNS)
-    simulator = PowerSimulator(module.compiled, engine="packed")
-    trace = run_once(benchmark, lambda: simulator.simulate(bits))
-    assert trace.n_cycles == N_PATTERNS - 1
-
-
 def test_simulate_compiled_engine(benchmark):
     from .conftest import run_once
 
@@ -184,10 +173,9 @@ def main():
     )
     record = run_comparison()
     print(f"  bool     engine: {record['bool_seconds'] * 1e3:8.1f} ms")
-    print(f"  packed   engine: {record['packed_seconds'] * 1e3:8.1f} ms")
     print(f"  compiled engine: {record['compiled_seconds'] * 1e3:8.1f} ms")
-    print(f"  speedup:         {record['speedup']:8.2f}x bool->packed, "
-          f"{record['compiled_speedup']:.2f}x packed->compiled "
+    print(f"  speedup:         "
+          f"{record['compiled_vs_bool_speedup']:8.2f}x bool->compiled "
           f"(parity verified)")
     measure_observability(record)
     print(f"  tracing:       {record['tracing_spans']:8d} spans/run, "

@@ -27,8 +27,7 @@ rewritten datapath families — the registry canonicalizes specs, so
 same model as ``session.estimate("ripple_adder", 8, ...)``.  See
 ``docs/MODULES.md`` for the grammar and the parameter reference.
 
-See ``docs/API.md`` for the full surface and the old→new migration
-table.
+See ``docs/API.md`` for the full surface.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from ._compat import pop_renamed_kwarg
+from .circuit.power import ENGINES
 from .core.characterize import CharacterizationResult
 from .core.estimator import EstimationResult, PowerEstimator
 from .runtime.cache import ModelCache
@@ -57,9 +56,11 @@ class Session:
             simulates; pass a path (or ``"default"`` for the standard
             ``~/.cache/repro-hd`` location) to enable
             characterize-once/evaluate-many.
-        engine: Simulation kernel: ``"auto"`` (default), ``"bool"``,
-            ``"packed"`` or ``"compiled"``.  Engines are bit-identical
-            by contract; this is a speed knob.
+        engine: Simulation kernel: ``"auto"`` (default), ``"bool"`` or
+            ``"compiled"`` (:data:`~repro.circuit.power.ENGINES`).
+            Engines are bit-identical by contract; this is a speed knob.
+            Any other value raises ``ValueError`` here, not at the first
+            characterization.
         jobs: Worker processes for multi-module characterization fan-out
             (``Session.characterize_many``); single characterizations run
             inline.
@@ -74,30 +75,20 @@ class Session:
         self,
         cache_dir: Optional[str] = None,
         engine: Optional[str] = None,
-        jobs: Any = 1,
+        jobs: int = 1,
         config: Any = None,
         enhanced: bool = False,
-        **legacy,
     ):
-        engine = pop_renamed_kwarg(
-            legacy, "simulation_engine", "engine", "Session", engine
-        )
-        jobs_value = pop_renamed_kwarg(
-            legacy, "n_jobs", "jobs", "Session",
-            jobs if jobs != 1 else None,
-        )
-        if jobs_value is not None:
-            jobs = jobs_value
-        if legacy:
-            raise TypeError(
-                f"unexpected keyword arguments: {sorted(legacy)}"
-            )
         if config is None:
             from .eval.harness import ExperimentConfig
 
             config = ExperimentConfig()
         if engine is not None:
             config = dataclasses.replace(config, engine=engine)
+        if config.engine not in ENGINES:
+            raise ValueError(
+                f"engine must be one of {ENGINES}, got {config.engine!r}"
+            )
         self.config = config
         self.jobs = int(jobs)
         if self.jobs < 1:

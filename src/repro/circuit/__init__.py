@@ -14,8 +14,6 @@ from .packed import (
     PACKED_AVAILABLE,
     ToggleAccumulator,
     pack_lanes,
-    packed_functional_values,
-    packed_unit_delay_transition,
     popcount,
     unpack_lanes,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "Netlist",
     "NetlistBuilder",
     "NetlistError",
-    "OperatingPoint",
     "PACKED_AVAILABLE",
     "PowerSimulator",
     "PowerTrace",
@@ -58,31 +55,9 @@ __all__ = [
     "native_status",
     "net_power_breakdown",
     "pack_lanes",
-    "packed_functional_values",
-    "packed_unit_delay_transition",
     "popcount",
     "render_hotspots",
     "unpack_lanes",
     "zero_delay_toggles",
 ]
 
-
-def __getattr__(name):
-    # ``OperatingPoint`` moved to the technology calibration layer
-    # (``repro.tech``), which generalizes it across process nodes.  The
-    # old ``repro.circuit`` spelling keeps working — same class, bit
-    # -identical numerics — behind a one-shot deprecation.
-    if name == "OperatingPoint":
-        from .._compat import warn_once
-        from .units import OperatingPoint
-
-        warn_once(
-            "circuit:OperatingPoint",
-            "importing OperatingPoint from repro.circuit is deprecated; "
-            "use repro.tech (OperatingPoint, or the node-aware "
-            "Calibration)",
-        )
-        return OperatingPoint
-    raise AttributeError(
-        f"module 'repro.circuit' has no attribute {name!r}"
-    )

@@ -16,13 +16,8 @@ import numpy as np
 
 from .compiled import CompiledNetlist
 from .netlist import Netlist
-from .packed import (
-    PACKED_AVAILABLE,
-    n_words_for,
-    pack_lanes,
-    packed_functional_values,
-    packed_unit_delay_transition,
-)
+from .packed import n_words_for, pack_lanes
+from .power import DEFAULT_CHUNK, PowerSimulator
 from .program import compile_program
 from .simulate import functional_values, unit_delay_transition
 
@@ -42,7 +37,7 @@ def net_power_breakdown(
     netlist: Netlist | CompiledNetlist,
     input_bits: np.ndarray,
     top: Optional[int] = None,
-    chunk_size: int = 2048,
+    chunk_size: int = DEFAULT_CHUNK,
     engine: str = "auto",
 ) -> List[NetHotspot]:
     """Per-net charge over a stimulus stream, ranked descending.
@@ -52,13 +47,15 @@ def net_power_breakdown(
         input_bits: ``[n, m]`` input vector stream.
         top: Keep only the ``top`` hottest nets (all when None).
         chunk_size: Vectorization batch size.
-        engine: ``"bool"``, ``"packed"``, ``"compiled"`` or ``"auto"``.
-            The report only needs per-net *totals*, so the packed and
-            compiled engines never decode dense counts: each toggle
-            bit-plane collapses straight through ``popcount``
-            (:meth:`ToggleAccumulator.per_row_totals`; the compiled
-            engine's program-order totals are permuted back to net
-            order through ``row_of_net``).
+        engine: ``"bool"``, ``"compiled"`` or ``"auto"``, validated and
+            resolved by the same rule as
+            :meth:`PowerSimulator.resolve_engine` (``auto`` runs the
+            compiled tape from 64 transitions).  The report only needs
+            per-net *totals*, so the compiled engine never decodes dense
+            counts: each toggle bit-plane collapses straight through
+            ``popcount`` (:meth:`ToggleAccumulator.per_row_totals`), and
+            the program-order totals are permuted back to net order
+            through ``row_of_net``.
 
     Returns:
         :class:`NetHotspot` list sorted by charge, highest first.
@@ -71,19 +68,13 @@ def net_power_breakdown(
     n_cycles = input_bits.shape[0] - 1
     if n_cycles < 1:
         raise ValueError("need at least 2 patterns")
-    if engine not in ("auto", "bool", "packed", "compiled"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        engine = "packed" if PACKED_AVAILABLE and n_cycles >= 64 else "bool"
-    if engine in ("packed", "compiled") and not PACKED_AVAILABLE:
-        raise ValueError(f"engine={engine!r} needs a little-endian host")
+    engine = PowerSimulator(compiled, engine=engine).resolve_engine(n_cycles)
     program = compile_program(compiled) if engine == "compiled" else None
     toggles_total = np.zeros(compiled.n_nets, dtype=np.int64)
     for start in range(0, n_cycles, chunk_size):
         stop = min(start + chunk_size, n_cycles)
-        if engine == "compiled":
-            n_lanes = stop - start
-            n_words = n_words_for(n_lanes)
+        if program is not None:
+            n_words = n_words_for(stop - start)
             old_packed = pack_lanes(input_bits[start:stop].T, n_words)
             new_packed = pack_lanes(
                 input_bits[start + 1 : stop + 1].T, n_words
@@ -92,19 +83,6 @@ def net_power_breakdown(
             _, accumulator, _ = program.relax(settled, new_packed)
             row_totals = accumulator.per_row_totals(program.n_rows)
             toggles_total += row_totals[program.row_of_net]
-            continue
-        if engine == "packed":
-            n_lanes = stop - start
-            n_words = n_words_for(n_lanes)
-            old_packed = pack_lanes(input_bits[start:stop].T, n_words)
-            new_packed = pack_lanes(
-                input_bits[start + 1 : stop + 1].T, n_words
-            )
-            settled = packed_functional_values(compiled, old_packed, n_words)
-            _, accumulator = packed_unit_delay_transition(
-                compiled, settled, new_packed
-            )
-            toggles_total += accumulator.per_row_totals(compiled.n_nets)
             continue
         settled = functional_values(compiled, input_bits[start:stop])
         _, toggles = unit_delay_transition(

@@ -8,25 +8,24 @@ count.  Charge units are normalized (gate-capacitance units); the paper only
 ever compares relative errors against the reference simulator, never absolute
 numbers across tools.
 
-Three interchangeable kernels produce the trace (see docs/SIMULATION.md):
+Two interchangeable kernels produce the trace (see docs/SIMULATION.md):
 
-* ``engine="bool"`` — the original byte-per-value matrices of
-  :mod:`repro.circuit.simulate`;
-* ``engine="packed"`` — the bit-packed kernels of
-  :mod:`repro.circuit.packed`, 64 transitions per ``uint64`` word;
-* ``engine="compiled"`` — the straight-line instruction tape of
-  :mod:`repro.circuit.program`: the packed lane layout plus fused
-  (level, type) instructions and event-driven relaxation (no per-step
-  full-matrix work);
+* ``engine="compiled"`` — the production kernel: the straight-line
+  instruction tape of :mod:`repro.circuit.program` over bit-packed lanes
+  (64 transitions per ``uint64`` word, :mod:`repro.circuit.packed`), with
+  fused (level, type) instructions and event-driven relaxation;
+* ``engine="bool"`` — the readable reference: byte-per-value matrices of
+  :mod:`repro.circuit.simulate`, which the fuzzer and the parity tests
+  compare the compiled kernel against;
 * ``engine="auto"`` (default) — compiled for streams long enough to fill
-  words, boolean otherwise (and on hosts without packed support).
+  words, boolean otherwise (and on hosts without packed lanes).
 
-Bit-for-bit parity between the engines is the contract: all feed the
-*identical* dense toggle matrices (in net order) into the identical charge
+Bit-for-bit parity between the engines is the contract: both feed the
+*identical* toggle counts (in net order) into the identical charge
 accounting, so ``PowerTrace.charge`` and ``total_toggles`` match exactly,
-not just to tolerance.  The parity suites in
-``tests/circuit/test_packed.py`` and ``tests/circuit/test_program.py``
-enforce this across every registered module kind.
+not just to tolerance.  The parity suite in
+``tests/circuit/test_program.py`` enforces this across every registered
+module kind.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .._compat import pop_renamed_kwarg
 from ..obs.events import EVENTS
 from ..obs.tracing import span
 from .compiled import CompiledNetlist
@@ -48,8 +46,6 @@ from .packed import (
     inject_lane,
     n_words_for,
     pack_lanes,
-    packed_functional_values,
-    packed_unit_delay_transition,
     unpack_lanes,
 )
 from .native import decode_native, native_decode, native_tables
@@ -57,17 +53,13 @@ from .program import compile_program, decode_planes
 from .simulate import functional_values, unit_delay_transition, zero_delay_toggles
 
 #: Engine names accepted by :class:`PowerSimulator`.
-ENGINES = ("auto", "bool", "packed", "compiled")
+ENGINES = ("auto", "bool", "compiled")
 
-#: Default chunk sizes (transitions per vectorized batch) per engine.
-#: Equal on purpose: benchmarking showed the packed engine is *fastest* at
-#: the boolean default (the decode/accounting temporaries stay
-#: cache-resident), and identical chunk boundaries make default-configured
-#: engines bit-identical in ``charge`` too, not just in toggles (float
-#: summation order matches chunk by chunk).
-DEFAULT_CHUNK_BOOL = 2048
-DEFAULT_CHUNK_PACKED = 2048
-DEFAULT_CHUNK_COMPILED = 2048
+#: Default chunk size (transitions per vectorized batch), shared by both
+#: engines: identical chunk boundaries make default-configured engines
+#: bit-identical in ``charge`` too, not just in toggles (float summation
+#: order matches chunk by chunk).
+DEFAULT_CHUNK = 2048
 
 #: Streams shorter than this gain nothing from packing (the pack/unpack
 #: overhead exceeds one word's worth of lane parallelism), so ``auto``
@@ -75,7 +67,7 @@ DEFAULT_CHUNK_COMPILED = 2048
 AUTO_PACKED_MIN_CYCLES = 64
 
 #: Lanes per block of the compiled engine's fused decode + dgemv (a
-#: multiple of 64, i.e. whole packed words).  Each block decodes into one
+#: multiple of 64, i.e. whole lane words).  Each block decodes into one
 #: per-simulator ``[n_nets, FUSED_BLOCK_LANES]`` float64 buffer, so the
 #: dense count matrix never scales with the chunk length.
 FUSED_BLOCK_LANES = 256
@@ -87,7 +79,7 @@ class SimulationStats:
 
     Attributes:
         engine: Resolved engine that produced the trace
-            ("bool"/"packed"/"compiled").
+            ("bool" or "compiled").
         n_cycles: Transitions simulated.
         total_toggles: Sum of per-cycle toggle counts over the run.
         seconds: Wall-clock time of the call.
@@ -152,10 +144,9 @@ class PowerSimulator:
             Ignored when ``glitch_aware`` is False.
         chunk_size: Transitions simulated per vectorized batch, bounding
             peak memory (``~3 * n_nets * chunk_size`` bytes of booleans, an
-            eighth of that packed).  ``None`` picks an engine-appropriate
-            default.
-        engine: ``"bool"``, ``"packed"``, ``"compiled"`` or ``"auto"``
-            (see module doc).  ``"auto"`` resolves to ``"compiled"``, the
+            eighth of that packed).  ``None`` picks :data:`DEFAULT_CHUNK`.
+        engine: ``"bool"``, ``"compiled"`` or ``"auto"`` (see module
+            doc).  ``"auto"`` resolves to ``"compiled"``, the
             fastest engine, for streams of at least
             :data:`AUTO_PACKED_MIN_CYCLES` transitions on little-endian
             hosts, and to ``"bool"`` otherwise.
@@ -172,16 +163,7 @@ class PowerSimulator:
         glitch_weight: float = 1.0,
         chunk_size: Optional[int] = None,
         engine: Optional[str] = None,
-        **legacy,
     ):
-        # PR 5 rename: ``simulation_engine=`` → ``engine=`` (warns once).
-        engine = pop_renamed_kwarg(
-            legacy, "simulation_engine", "engine", "PowerSimulator", engine
-        )
-        if legacy:
-            raise TypeError(
-                f"unexpected keyword arguments: {sorted(legacy)}"
-            )
         if engine is None:
             engine = "auto"
         if isinstance(netlist, CompiledNetlist):
@@ -199,7 +181,7 @@ class PowerSimulator:
         self.chunk_size = chunk_size
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        if engine in ("packed", "compiled") and not PACKED_AVAILABLE:
+        if engine == "compiled" and not PACKED_AVAILABLE:
             raise ValueError(
                 f"engine={engine!r} needs a little-endian host; use 'auto'"
             )
@@ -223,14 +205,6 @@ class PowerSimulator:
         if PACKED_AVAILABLE and n_cycles >= AUTO_PACKED_MIN_CYCLES:
             return "compiled"
         return "bool"
-
-    def _resolve_chunk(self, engine: str) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return {
-            "packed": DEFAULT_CHUNK_PACKED,
-            "compiled": DEFAULT_CHUNK_COMPILED,
-        }.get(engine, DEFAULT_CHUNK_BOOL)
 
     # ------------------------------------------------------------------
     def simulate(self, input_bits: np.ndarray) -> PowerTrace:
@@ -262,10 +236,9 @@ class PowerSimulator:
         charge = np.empty(n_cycles, dtype=np.float64)
         total = np.empty(n_cycles, dtype=np.int64)
         caps = self.compiled.net_caps
-        run_chunk = {
-            "packed": self._packed_chunk,
-            "compiled": self._compiled_chunk,
-        }.get(engine, self._bool_chunk)
+        run_chunk = (
+            self._compiled_chunk if engine == "compiled" else self._bool_chunk
+        )
         # Glitch weighting needs the functional (settled-value) toggles to
         # split full swings from partial ones; weight 1.0 does not.
         need_functional = self.glitch_aware and self.glitch_weight != 1.0
@@ -273,7 +246,7 @@ class PowerSimulator:
         # final column of the previous chunk (unique fixpoint of an acyclic
         # network), so it is carried across chunks instead of re-settled.
         boundary: Optional[np.ndarray] = None
-        chunk_size = self._resolve_chunk(engine)
+        chunk_size = self.chunk_size or DEFAULT_CHUNK
         with span("sim.stream", engine=engine, n_cycles=n_cycles):
             for start in range(0, n_cycles, chunk_size):
                 stop = min(start + chunk_size, n_cycles)
@@ -327,7 +300,7 @@ class PowerSimulator:
         return PowerTrace(charge=charge, total_toggles=total)
 
     # ------------------------------------------------------------------
-    # Engine chunk kernels.  All return the *same* dense representation —
+    # Engine chunk kernels.  Both return the *same* dense representation —
     # ``(toggles [n_nets, L], functional | None, boundary, pre | None)``
     # with integer counts (the exact dtype may differ; the shared
     # accounting above converts to float64 before any arithmetic) — so the
@@ -370,47 +343,6 @@ class PowerSimulator:
         # Input pin charging is counted in both modes.
         return toggles, None, settled_new[:, -1].copy(), None
 
-    def _packed_chunk(
-        self,
-        old_vecs: np.ndarray,
-        new_vecs: np.ndarray,
-        boundary: Optional[np.ndarray],
-        need_functional: bool,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray,
-               Optional[np.ndarray]]:
-        n_lanes = len(old_vecs)
-        n_words = n_words_for(n_lanes)
-        old_packed = pack_lanes(old_vecs.T, n_words)
-        new_packed = pack_lanes(new_vecs.T, n_words)
-        settled = packed_functional_values(self.compiled, old_packed, n_words)
-        if boundary is not None:
-            # The levelized pass settles all lanes of a word in one shot,
-            # so lane 0 costs nothing extra — but the carried column is the
-            # authoritative value, so inject it (bit-identical by the
-            # unique-fixpoint argument; keeps both engines' carry honest).
-            inject_lane(settled, 0, boundary)
-        if self.glitch_aware:
-            final, accumulator = packed_unit_delay_transition(
-                self.compiled, settled, new_packed
-            )
-            if accumulator.planes:
-                toggles = accumulator.decode(n_lanes)
-            else:
-                toggles = np.zeros(
-                    (self.compiled.n_nets, n_lanes), dtype=np.uint8
-                )
-            functional = (
-                unpack_lanes(settled ^ final, n_lanes)
-                if need_functional else None
-            )
-            return toggles, functional, extract_lane(final, n_lanes - 1), \
-                None
-        settled_new = packed_functional_values(
-            self.compiled, new_packed, n_words
-        )
-        toggles = unpack_lanes(settled ^ settled_new, n_lanes)
-        return toggles, None, extract_lane(settled_new, n_lanes - 1), None
-
     def _compiled_chunk(
         self,
         old_vecs: np.ndarray,
@@ -419,9 +351,9 @@ class PowerSimulator:
         need_functional: bool,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray,
                Optional[np.ndarray]]:
-        # Same lane layout as the packed engine, but values live in
-        # *program row order*; everything handed back to the shared
-        # accounting is permuted to net order through row_of_net (a full
+        # Values live in packed lanes and *program row order*; everything
+        # handed back to the shared accounting is permuted to net order
+        # through row_of_net (a full
         # permutation — lut_fold is never enabled here, it would break
         # the glitch parity contract).  Permutation happens on the packed
         # words (tiny) before any unpack/decode, never on dense matrices.
@@ -446,8 +378,8 @@ class PowerSimulator:
             # not the arithmetic, dominates sustained multi-chunk runs).
             # Each dgemv runs on bit-for-bit the columns the shared
             # astype path would build, and blocks start on whole words.
-            # Charge then matches the whole-chunk dgemv of the bool and
-            # packed engines bit for bit *only if* the BLAS sums each
+            # Charge then matches the whole-chunk dgemv of the bool
+            # engine bit for bit *only if* the BLAS sums each
             # output element in an order independent of how many rows
             # the call has.  That is an assumption about the BLAS
             # library (OpenBLAS holds it: 256 is a multiple of its

@@ -1,13 +1,13 @@
 """Compilation of netlists into straight-line bitwise programs.
 
-The packed engine (:mod:`repro.circuit.packed`) already evaluates 64
-transitions per ``uint64`` word, but its unit-delay relaxation still pays
-per-step costs proportional to the *whole* circuit: every synchronous step
-re-evaluates every type group over every gate, copies the full value
-matrix, and XOR-compares and ripple-adds all of it — even though after
-step ``t`` only nets at level ``>= t`` can still change (a level-``L``
-net depends on paths of length at most ``L``, so it is stable from step
-``L`` on).
+Packing the pattern axis into ``uint64`` lanes
+(:mod:`repro.circuit.packed`) evaluates 64 transitions per word, but a
+naive unit-delay relaxation over packed lanes still pays per-step costs
+proportional to the *whole* circuit: every synchronous step re-evaluates
+every type group over every gate, copies the full value matrix, and
+XOR-compares and ripple-adds all of it — even though after step ``t``
+only nets at level ``>= t`` can still change (a level-``L`` net depends
+on paths of length at most ``L``, so it is stable from step ``L`` on).
 
 :func:`compile_program` lowers a
 :class:`~repro.circuit.compiled.CompiledNetlist` once into a
@@ -37,8 +37,8 @@ slice arithmetic:
 * **Windowed relaxation.**  :meth:`BitwiseProgram.relax` runs the
   synchronous unit-delay dynamics with a shrinking active window: at step
   ``t`` it evaluates, per class block, only the suffix of gates at level
-  ``>= t`` (reads are staged before any write, exactly like the other
-  engines, so the snapshot semantics — and therefore every glitch toggle
+  ``>= t`` (reads are staged before any write, exactly like the ``bool``
+  reference, so the snapshot semantics — and therefore every glitch toggle
   — are bit-identical).  Gates below the window are provably settled, so
   skipping them changes nothing; total work is ``sum(levels)`` gate
   evaluations instead of ``depth * n_gates``, a 4-6x reduction on
@@ -537,8 +537,8 @@ def decode_planes(
     ``uint8``-up-to-8-planes dtype rule), but all planes unpack in one
     stacked ``np.unpackbits`` call and combine via a weighted
     plane-axis contraction — one pass instead of an unpack + shift + add
-    round-trip per plane, which profiling showed dominated the packed
-    engine's decode.
+    round-trip per plane, which profiling showed dominated the
+    per-plane decode.
     """
     if not planes:
         raise ValueError("cannot decode empty planes")

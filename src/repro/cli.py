@@ -50,6 +50,8 @@ import numpy as np
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .circuit.power import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="repro-power",
         description="Hamming-distance power macro-models (DATE 1999 repro)",
@@ -74,13 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stimulus", default="uniform_hd",
                    choices=["random", "uniform_hd", "mixed", "corner"])
     p.add_argument("--engine", default="auto",
-                   choices=["auto", "bool", "packed", "compiled"],
+                   choices=ENGINES,
                    help="simulation kernel: the straight-line "
                         "instruction tape ('compiled', fastest on long "
-                        "streams), byte-per-value ('bool'), bit-packed "
-                        "uint64 lanes ('packed'), or pick per stream "
-                        "('auto': compiled from 64 transitions, bool "
-                        "below); results are bit-identical")
+                        "streams), the byte-per-value reference "
+                        "('bool'), or pick per stream ('auto': compiled "
+                        "from 64 transitions, bool below); results are "
+                        "bit-identical")
     p.add_argument("--jobs", type=int, default=1,
                    help="characterize jobs in parallel with this many "
                         "worker processes")
@@ -118,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="trace",
                    choices=["trace", "distribution", "avg-hd"])
     p.add_argument("--engine", default="auto",
-                   choices=["auto", "bool", "packed", "compiled"],
+                   choices=ENGINES,
                    help="simulation kernel for reference/characterization")
     p.add_argument("--reference", action="store_true",
                    help="also run the gate-level reference simulation")
@@ -153,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--top", type=int, default=15)
     p.add_argument("--engine", default="auto",
-                   choices=["auto", "bool", "packed", "compiled"],
+                   choices=ENGINES,
                    help="simulation kernel for the per-net breakdown")
 
     p = sub.add_parser(
@@ -215,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="patterns per on-demand characterization")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine", default="auto",
-                   choices=["auto", "bool", "packed", "compiled"])
+                   choices=ENGINES)
     p.add_argument("--cache-dir",
                    help="persistent model cache directory (default "
                         "~/.cache/repro-hd or $REPRO_CACHE_DIR)")
@@ -259,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="patterns per characterization")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine", default="auto",
-                   choices=["auto", "bool", "packed", "compiled"])
+                   choices=ENGINES)
     p.add_argument("--cache-dir",
                    help="persistent model cache directory (default "
                         "~/.cache/repro-hd or $REPRO_CACHE_DIR)")

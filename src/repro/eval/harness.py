@@ -53,13 +53,12 @@ class ExperimentConfig:
             ("uniform_hd" stratifies event classes; "random" is the paper's
             literal stream).
         enhanced_stimulus: Characterization stream for the enhanced model.
-        engine: Simulation kernel ("auto", "bool", "packed" or
-            "compiled").  The default "auto" runs the compiled tape on
-            streams of at least 64 transitions and "bool" on shorter
-            ones.  Engines are bit-identical, so this is a speed
-            knob, not a provenance knob — the persistent cache
-            deliberately excludes it from its keys (see
-            :func:`repro.runtime.cache._config_payload`).
+        engine: Simulation kernel ("auto", "bool" or "compiled").  The
+            default "auto" runs the compiled tape on streams of at least
+            64 transitions and "bool" on shorter ones.  Engines are
+            bit-identical, so this is a speed knob, not a provenance
+            knob — the persistent cache deliberately excludes it from
+            its keys (see :func:`repro.runtime.cache._config_payload`).
         self_check: When True, every freshly simulated evaluation trace
             has a short prefix re-simulated by the pure-Python oracle
             (:func:`repro.verify.oracles.verify_trace_prefix`) before it
@@ -116,9 +115,8 @@ class Harness:
             (patterns actually pushed through the reference simulator; 0
             on a fully cache-served run), ``simulated_toggles`` (total
             toggle events those simulations counted), per-engine run
-            counts (``engine_bool_runs``/``engine_packed_runs``/
-            ``engine_compiled_runs``, so the kernel that did the work is
-            observable, not assumed),
+            counts (``engine_bool_runs``/``engine_compiled_runs``, so
+            the kernel that did the work is observable, not assumed),
             ``characterize_seconds`` / ``simulate_seconds`` wall-clock
             totals, and ``self_checks`` (oracle prefix verifications run
             when ``config.self_check`` is on).
@@ -139,7 +137,6 @@ class Harness:
             "simulated_patterns": 0,
             "simulated_toggles": 0,
             "engine_bool_runs": 0,
-            "engine_packed_runs": 0,
             "engine_compiled_runs": 0,
             "characterize_seconds": 0.0,
             "simulate_seconds": 0.0,

@@ -5,9 +5,9 @@ The one-stop import for instrumented code::
     from repro.obs import EVENTS, span, trace
 
     with trace("characterize") as ctx:
-        with span("sim.stream", engine="packed"):
+        with span("sim.stream", engine="compiled"):
             ...
-    EVENTS.sim_transitions.inc(n, engine="packed")
+    EVENTS.sim_transitions.inc(n, engine="compiled")
 
 See ``docs/OBSERVABILITY.md`` for the span model and counter registry.
 """

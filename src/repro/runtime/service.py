@@ -25,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .._compat import warn_once
 from ..core.characterize import CharacterizationResult, characterize_module
 from ..modules.library import make_module
 from ..obs import tracing
@@ -172,24 +171,20 @@ def _run_job(
 
 
 def characterize_jobs(
-    requests: Optional[Sequence[CharacterizationJob]] = None,
+    requests: Sequence[CharacterizationJob],
     config: Any = None,
-    jobs: Any = 1,
+    jobs: int = 1,
     cache: Optional[ModelCache] = None,
     strict: bool = True,
-    **legacy,
 ) -> ServiceReport:
     """Characterize many modules, in parallel, behind the persistent cache.
 
     Args:
         requests: Jobs to run; results come back in the same order.
-            (Known as ``jobs=`` before PR 5; the old keyword still works
-            with a :class:`DeprecationWarning`.)
         config: An :class:`~repro.eval.harness.ExperimentConfig` (or any
             object with the same characterization attributes).  Defaults to
             the stock configuration.
         jobs: Worker processes; 1 runs inline (no pool, no pickling).
-            (``n_jobs=`` before PR 5.)
         cache: Persistent cache consulted before — and filled after —
             simulating.  ``None`` disables disk caching.
         strict: When True (default) the first job failure raises.  When
@@ -200,32 +195,6 @@ def characterize_jobs(
     Returns:
         A :class:`ServiceReport` with per-call hit/miss/failure counters.
     """
-    # PR 5 renames.  Two legacy spellings collide on the name ``jobs``:
-    # the request list used to *be* the ``jobs=`` keyword, while the
-    # worker count was ``n_jobs=``.  A sequence passed as ``jobs=`` is
-    # therefore the legacy request list, an int is the worker count.
-    if "n_jobs" in legacy:
-        warn_once(
-            "characterize_jobs:n_jobs",
-            "characterize_jobs: keyword 'n_jobs=' is deprecated, "
-            "use 'jobs='",
-        )
-        value = legacy.pop("n_jobs")
-        if isinstance(jobs, int):
-            jobs = value
-    if legacy:
-        raise TypeError(f"unexpected keyword arguments: {sorted(legacy)}")
-    if not isinstance(jobs, int):
-        warn_once(
-            "characterize_jobs:jobs",
-            "characterize_jobs: passing the job list as 'jobs=' is "
-            "deprecated, use 'requests='",
-        )
-        if requests is None:
-            requests = jobs
-        jobs = 1
-    if requests is None:
-        raise TypeError("characterize_jobs() missing the 'requests' list")
     if config is None:
         # Imported lazily: eval is a higher layer that itself imports
         # runtime, so a module-level import would be circular.

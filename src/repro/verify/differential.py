@@ -2,16 +2,15 @@
 
 A fuzz *case* is a small, fully described experiment: one module kind at
 one width, one stimulus stream, one simulator configuration.  For every
-case the fuzzer runs the production engines (``bool``, ``packed`` and
-``compiled``) against each other and against the
+case the fuzzer runs the production ``compiled`` engine against the
+readable ``bool`` reference and against the
 :mod:`repro.verify.oracles` golden model, and checks a set of
 *metamorphic relations* — transformations of the input whose effect on
 the output is known exactly:
 
 * **engine parity** — identical ``charge``/``total_toggles`` between
-  every pair of engines at equal chunk size (the PR-2 contract, extended
-  to the compiled instruction-tape engine, fuzzed instead of
-  example-tested);
+  the compiled instruction-tape engine and the ``bool`` reference at
+  equal chunk size (fuzzed instead of example-tested);
 * **oracle agreement** — dense per-net toggles, per-cycle totals and
   charge against the per-gate Python reference, on a stream prefix;
 * **golden function** — settled outputs must equal the module's integer
@@ -46,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuit.packed import PACKED_AVAILABLE
-from ..circuit.power import PowerSimulator, PowerTrace
+from ..circuit.power import ENGINES, PowerSimulator, PowerTrace
 from ..circuit.simulate import (
     evaluate_outputs,
     functional_values,
@@ -182,27 +181,25 @@ def _first_diff(a: np.ndarray, b: np.ndarray) -> str:
 def check_engine_parity(
     case: FuzzCase, module: DatapathModule, bits: np.ndarray
 ) -> List[Mismatch]:
-    """All engine pairs: exact charge and toggle traces at equal chunking.
+    """Compiled vs bool: exact charge and toggle traces at equal chunking.
 
-    ``bool`` is the reference; ``packed`` and ``compiled`` are each
-    compared against it (which also pins them to each other).
+    ``bool`` is the reference the compiled engine is compared against.
     """
     if not PACKED_AVAILABLE:
         return []
     ref = _simulator(case, module, "bool").simulate(bits)
+    got = _simulator(case, module, "compiled").simulate(bits)
     out = []
-    for engine in ("packed", "compiled"):
-        got = _simulator(case, module, engine).simulate(bits)
-        if not np.array_equal(ref.total_toggles, got.total_toggles):
-            out.append(Mismatch(
-                f"engine_parity_toggles_{engine}", case,
-                _first_diff(ref.total_toggles, got.total_toggles),
-            ))
-        if not np.array_equal(ref.charge, got.charge):
-            out.append(Mismatch(
-                f"engine_parity_charge_{engine}", case,
-                _first_diff(ref.charge, got.charge),
-            ))
+    if not np.array_equal(ref.total_toggles, got.total_toggles):
+        out.append(Mismatch(
+            "engine_parity_toggles_compiled", case,
+            _first_diff(ref.total_toggles, got.total_toggles),
+        ))
+    if not np.array_equal(ref.charge, got.charge):
+        out.append(Mismatch(
+            "engine_parity_charge_compiled", case,
+            _first_diff(ref.charge, got.charge),
+        ))
     return out
 
 
@@ -220,9 +217,7 @@ def check_oracle_trace(
         glitch_aware=case.glitch_aware, glitch_weight=case.glitch_weight,
     )
     out: List[Mismatch] = []
-    engines = ["bool"] + (
-        ["packed", "compiled"] if PACKED_AVAILABLE else []
-    )
+    engines = ["bool"] + (["compiled"] if PACKED_AVAILABLE else [])
     for engine in engines:
         trace = _simulator(case, module, engine).simulate(head)
         if not np.array_equal(oracle.total_toggles, trace.total_toggles):
@@ -536,7 +531,7 @@ def check_cache_key_engine_independence() -> List[Mismatch]:
                               seed=0)
     keys = set()
     trace_keys = set()
-    for engine in ("bool", "packed", "compiled", "auto"):
+    for engine in ENGINES:
         config = ExperimentConfig(engine=engine)
         keys.add(cache.characterization_key(
             reference_case.kind, reference_case.width, False, config, 7

@@ -12,7 +12,7 @@ Contents:
 
 * :func:`oracle_power_trace` — an independent dense toggle counter and
   charge accounting for netlist simulation (the golden model the
-  ``bool``/``packed`` engines are fuzzed against);
+  ``bool``/``compiled`` engines are fuzzed against);
 * :func:`oracle_class_counts` / :func:`oracle_class_averages` — the paper's
   Eq. 4 per-class charge averaging, plus the class partition identity
   ``Σ_i |E_i| = n_transitions``;

@@ -1,12 +1,14 @@
-"""Packed-engine parity suite: bit-for-bit agreement with the bool engine.
+"""Lane utilities, engine selection and the LUT-popcount fallback.
 
-The packed kernel is a pure speed optimization; its contract is that a
-:class:`PowerSimulator` produces *identical* ``charge`` and
-``total_toggles`` arrays regardless of engine (at equal chunk size — see
-``test_chunk_invariance`` in ``test_power.py`` for the cross-chunk-size
-float tolerance).  This file sweeps that contract across every registered
-module kind, the glitch-weighting configurations, the zero-delay ablation
-and awkward stream lengths, plus unit tests of the packing primitives.
+:mod:`repro.circuit.packed` holds the ``uint64`` lane layout the compiled
+engine runs on: packing, single-lane access, :func:`popcount` and the
+bit-sliced :class:`ToggleAccumulator`.  This file unit-tests those
+primitives, the ``auto`` engine rule shared by the simulator and the
+hotspot report, and runs compiled-vs-bool parity twice over: with the
+native backend forced off, so the pure-numpy word-level kernel is swept
+on its own, and with ``np.bitwise_count`` patched away, so the 8-bit LUT
+popcount path is exercised end to end.  The main engine parity sweep
+lives in ``test_program.py``.
 """
 
 import numpy as np
@@ -20,22 +22,15 @@ from repro.circuit.packed import (
     inject_lane,
     n_words_for,
     pack_lanes,
-    packed_functional_values,
-    packed_unit_delay_transition,
     popcount,
     unpack_lanes,
 )
 from repro.circuit.hotspots import net_power_breakdown
-from repro.circuit.power import (
-    AUTO_PACKED_MIN_CYCLES,
-    PowerSimulator,
-    PowerTrace,
-)
-from repro.circuit.simulate import functional_values, unit_delay_transition
+from repro.circuit.power import AUTO_PACKED_MIN_CYCLES, PowerSimulator
 from repro.modules.library import make_module, module_kinds
 
 pytestmark = pytest.mark.skipif(
-    not PACKED_AVAILABLE, reason="packed engine needs a little-endian host"
+    not PACKED_AVAILABLE, reason="packed lanes need a little-endian host"
 )
 
 #: Small width per kind for the full-registry sweep (mac wants >= 2;
@@ -54,90 +49,92 @@ def _stream(module, n_patterns, seed=0):
     return rng.integers(0, 2, size=(n_patterns, n_inputs)).astype(bool)
 
 
-def _assert_trace_equal(a: PowerTrace, b: PowerTrace):
-    np.testing.assert_array_equal(a.total_toggles, b.total_toggles)
-    # Bitwise, not allclose: the engines share the accounting code and the
-    # chunk boundaries, so even the float charge must match exactly.
-    np.testing.assert_array_equal(a.charge, b.charge)
+def _hotspot_toggles(module, bits, engine):
+    return {
+        h.net: h.toggles
+        for h in net_power_breakdown(module.compiled, bits, engine=engine)
+    }
 
 
-def _parity(module, bits, **kwargs):
+def _parity(module, bits):
+    """Compiled vs bool: exact traces and exact per-net hotspot totals
+    (the latter go through ``ToggleAccumulator.per_row_totals``, i.e.
+    :func:`popcount`)."""
+    ref = PowerSimulator(module.compiled, engine="bool").simulate(bits)
+    got = PowerSimulator(module.compiled, engine="compiled").simulate(bits)
+    np.testing.assert_array_equal(ref.total_toggles, got.total_toggles)
+    np.testing.assert_array_equal(ref.charge, got.charge)
+    assert _hotspot_toggles(module, bits, "bool") == _hotspot_toggles(
+        module, bits, "compiled"
+    )
+
+
+@pytest.fixture
+def numpy_lanes(monkeypatch):
+    """Force the compiled engine onto its pure-numpy ``uint64`` lane path.
+
+    ``test_program.py`` sweeps parity on whichever backend is active (the
+    native relaxation when a C compiler is present); this pins the numpy
+    word-level kernel so the lane layout is swept on its own.
+    """
+    for target in ("repro.circuit.program", "repro.circuit.power"):
+        monkeypatch.setattr(f"{target}.native_tables", lambda program: None)
+
+
+def _lane_parity(module, bits, **kwargs):
     ref = PowerSimulator(module.compiled, engine="bool", **kwargs).simulate(
         bits
     )
-    got = PowerSimulator(module.compiled, engine="packed", **kwargs).simulate(
-        bits
-    )
-    _assert_trace_equal(ref, got)
+    got = PowerSimulator(
+        module.compiled, engine="compiled", **kwargs
+    ).simulate(bits)
+    np.testing.assert_array_equal(ref.total_toggles, got.total_toggles)
+    np.testing.assert_array_equal(ref.charge, got.charge)
     return ref
 
 
 # ----------------------------------------------------------------------
-# Engine parity
+# Numpy lane-kernel parity
 # ----------------------------------------------------------------------
-@pytest.mark.slow
-@pytest.mark.parametrize("kind", module_kinds())
-def test_parity_every_module_kind(kind):
-    """Glitch-aware parity on a random stream, for every registry entry."""
-    module = make_module(kind, SWEEP_WIDTH)
-    bits = _stream(module, 130, seed=hash(kind) % 2**32)
-    trace = _parity(module, bits)
-    assert trace.n_cycles == 129
-
-
 @pytest.mark.fast
 @pytest.mark.parametrize("kind", FAST_SWEEP_KINDS)
-def test_parity_fast_subset(kind):
-    """Tier-1 trimmed variant of the full registry sweep."""
+def test_parity_fast_subset(kind, numpy_lanes):
     module = make_module(kind, SWEEP_WIDTH)
     bits = _stream(module, 130, seed=hash(kind) % 2**32)
-    trace = _parity(module, bits)
+    trace = _lane_parity(module, bits)
     assert trace.n_cycles == 129
 
 
 @pytest.mark.parametrize("glitch_weight", [0.0, 0.37, 1.0])
-def test_parity_glitch_weights(glitch_weight):
+def test_parity_glitch_weights(glitch_weight, numpy_lanes):
     module = make_module("csa_multiplier", 4)
     bits = _stream(module, 200, seed=1)
-    _parity(module, bits, glitch_aware=True, glitch_weight=glitch_weight)
+    _lane_parity(
+        module, bits, glitch_aware=True, glitch_weight=glitch_weight
+    )
 
 
-def test_parity_zero_delay_ablation():
+def test_parity_zero_delay_ablation(numpy_lanes):
     module = make_module("csa_multiplier", 4)
     bits = _stream(module, 200, seed=2)
-    _parity(module, bits, glitch_aware=False)
+    _lane_parity(module, bits, glitch_aware=False)
 
 
 @pytest.mark.parametrize("n_patterns", [2, 63, 64, 65, 128, 129, 193])
-def test_parity_awkward_stream_lengths(n_patterns):
+def test_parity_awkward_stream_lengths(n_patterns, numpy_lanes):
     """Tail lanes (pattern counts off the 64-lane grid) stay inert."""
     module = make_module("ripple_adder", 8)
     bits = _stream(module, n_patterns, seed=3)
-    trace = _parity(module, bits)
+    trace = _lane_parity(module, bits)
     assert trace.n_cycles == n_patterns - 1
 
 
 @pytest.mark.parametrize("chunk_size", [17, 64, 100])
-def test_parity_across_chunk_boundaries(chunk_size):
-    """The carried boundary column must behave identically per engine."""
+def test_parity_across_chunk_boundaries(chunk_size, numpy_lanes):
+    """The carried boundary column survives the word-level kernel."""
     module = make_module("cla_adder", 4)
     bits = _stream(module, 230, seed=4)
-    _parity(module, bits, chunk_size=chunk_size, glitch_weight=0.5)
-
-
-def test_packed_chunk_size_invariance():
-    """Cross-chunk-size runs of the packed engine: toggles exact, charge
-    to float-summation tolerance (the same contract the bool engine has)."""
-    module = make_module("csa_multiplier", 4)
-    bits = _stream(module, 129, seed=5)
-    whole = PowerSimulator(
-        module.compiled, engine="packed", chunk_size=4096
-    ).simulate(bits)
-    sliced = PowerSimulator(
-        module.compiled, engine="packed", chunk_size=13
-    ).simulate(bits)
-    np.testing.assert_array_equal(whole.total_toggles, sliced.total_toggles)
-    np.testing.assert_allclose(whole.charge, sliced.charge, rtol=1e-12, atol=0.0)
+    _lane_parity(module, bits, chunk_size=chunk_size, glitch_weight=0.5)
 
 
 # ----------------------------------------------------------------------
@@ -156,9 +153,14 @@ def test_auto_resolution_thresholds():
 
 
 def test_unknown_engine_rejected():
+    """The simulator and the hotspot report share one engine check."""
     module = make_module("ripple_adder", 4)
-    with pytest.raises(ValueError, match="engine"):
-        PowerSimulator(module.compiled, engine="simd")
+    bits = _stream(module, 80, seed=6)
+    for engine in ("simd", "packed"):
+        with pytest.raises(ValueError, match="engine must be one of"):
+            PowerSimulator(module.compiled, engine=engine)
+        with pytest.raises(ValueError, match="engine must be one of"):
+            net_power_breakdown(module.compiled, bits, engine=engine)
 
 
 def test_packed_unavailable_falls_back(monkeypatch):
@@ -167,7 +169,7 @@ def test_packed_unavailable_falls_back(monkeypatch):
     sim = PowerSimulator(module.compiled, engine="auto")
     assert sim.resolve_engine(10**6) == "bool"
     with pytest.raises(ValueError, match="little-endian"):
-        PowerSimulator(module.compiled, engine="packed")
+        PowerSimulator(module.compiled, engine="compiled")
 
 
 def test_stats_record_resolved_engine():
@@ -288,11 +290,11 @@ if HAVE_HYPOTHESIS:
 @pytest.mark.slow
 @pytest.mark.parametrize("kind", module_kinds())
 def test_parity_every_module_kind_lut_fallback(kind, monkeypatch):
-    """The full engine-parity sweep with np.bitwise_count patched away.
+    """The full compiled-vs-bool sweep with np.bitwise_count patched away.
 
-    Covers the 8-bit LUT popcount path end to end (ToggleAccumulator
-    per-row totals and charge accounting), not just the popcount helper
-    in isolation.
+    Covers the 8-bit LUT popcount path end to end (the hotspot report's
+    ToggleAccumulator per-row totals, next to the charge trace), not
+    just the popcount helper in isolation.
     """
     monkeypatch.setattr(packed_mod, "_BITWISE_COUNT", None)
     module = make_module(kind, SWEEP_WIDTH)
@@ -353,50 +355,36 @@ def test_accumulator_empty_decode_raises():
 
 
 # ----------------------------------------------------------------------
-# Kernel-level parity with the boolean reference
+# Hotspot engine rule
 # ----------------------------------------------------------------------
-def test_packed_functional_values_match_bool():
-    module = make_module("alu", 4)
-    compiled = module.compiled
-    bits = _stream(module, 100, seed=12)
-    expected = functional_values(compiled, bits)
-    n_words = n_words_for(len(bits))
-    got = packed_functional_values(compiled, pack_lanes(bits.T, n_words), n_words)
-    np.testing.assert_array_equal(
-        unpack_lanes(got, len(bits)).astype(bool), expected
-    )
-
-
-def test_packed_unit_delay_matches_bool():
-    module = make_module("csa_multiplier", 4)
-    compiled = module.compiled
-    old = _stream(module, 100, seed=13)
-    new = _stream(module, 100, seed=14)
-    settled = functional_values(compiled, old)
-    final_ref, toggles_ref = unit_delay_transition(compiled, settled, new)
-    n_words = n_words_for(100)
-    packed_settled = packed_functional_values(
-        compiled, pack_lanes(old.T, n_words), n_words
-    )
-    final, accumulator = packed_unit_delay_transition(
-        compiled, packed_settled, pack_lanes(new.T, n_words)
-    )
-    np.testing.assert_array_equal(
-        unpack_lanes(final, 100).astype(bool), final_ref
-    )
-    np.testing.assert_array_equal(
-        accumulator.decode(100).astype(np.uint32), toggles_ref
-    )
-
-
 def test_hotspots_engine_parity():
+    """The hotspot report's default ``auto`` matches the bool report."""
     module = make_module("booth_wallace_multiplier", 4)
     bits = _stream(module, 150, seed=15)
     ref = net_power_breakdown(module.compiled, bits, engine="bool")
-    got = net_power_breakdown(module.compiled, bits, engine="packed")
+    got = net_power_breakdown(module.compiled, bits)
     assert [(h.net, h.toggles) for h in ref] == [
         (h.net, h.toggles) for h in got
     ]
     np.testing.assert_allclose(
         [h.charge for h in ref], [h.charge for h in got], rtol=0, atol=0
     )
+
+
+def test_hotspots_auto_follows_simulator_rule(compiled_toggle_bug):
+    """``auto`` hotspots switch to the compiled tape exactly where
+    :meth:`PowerSimulator.resolve_engine` does: with the compiled kernel
+    corrupted, ``auto`` tracks ``bool`` below the threshold and
+    ``compiled`` from it on."""
+    module = make_module("ripple_adder", 4)
+    for n_cycles, engine in (
+        (AUTO_PACKED_MIN_CYCLES - 1, "bool"),
+        (AUTO_PACKED_MIN_CYCLES, "compiled"),
+    ):
+        bits = _stream(module, n_cycles + 1, seed=16)
+        assert _hotspot_toggles(module, bits, "bool") != _hotspot_toggles(
+            module, bits, "compiled"
+        )
+        assert _hotspot_toggles(module, bits, "auto") == _hotspot_toggles(
+            module, bits, engine
+        )

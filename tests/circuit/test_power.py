@@ -140,8 +140,8 @@ def csa4_netlist():
 
 @pytest.mark.parametrize("engine", [
     "bool",
-    pytest.param("packed", marks=pytest.mark.skipif(
-        not PACKED_AVAILABLE, reason="packed engine needs little-endian"
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        not PACKED_AVAILABLE, reason="compiled engine needs little-endian"
     )),
 ])
 @pytest.mark.parametrize("glitch_aware", [True, False])

@@ -78,23 +78,6 @@ def test_zero_switched_cap_is_zero_power():
     assert op.average_power(0.0) == 0.0
 
 
-def test_circuit_import_is_deprecated_warn_once():
-    """The repro.circuit spelling still works — same class, one warning."""
-    import repro.circuit
-    from repro._compat import reset_deprecation_registry
-
-    reset_deprecation_registry()
-    with pytest.warns(DeprecationWarning, match="repro.tech"):
-        legacy = repro.circuit.OperatingPoint
-    assert legacy is OperatingPoint
-    # Warn-once: the second access is silent.
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert repro.circuit.OperatingPoint is OperatingPoint
-
-
 def test_legacy_numerics_bit_identical_through_calibration():
     """Calibration(vdd=...) reproduces OperatingPoint to 1e-12."""
     from repro.tech import Calibration

@@ -31,3 +31,24 @@ def absval8():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def compiled_toggle_bug(monkeypatch):
+    """Corrupt the compiled kernel: flip one toggle-plane bit per relax.
+
+    Every caller of :meth:`BitwiseProgram.relax` (the simulator's chunk
+    kernel, native or numpy, and the hotspot report) sees the flipped
+    bit, so fuzz and parity checks must flag the compiled engine.
+    """
+    from repro.circuit.program import BitwiseProgram
+
+    real = BitwiseProgram.relax
+
+    def corrupted(self, *args, **kwargs):
+        final, accumulator, steps = real(self, *args, **kwargs)
+        if accumulator.planes:
+            accumulator.planes[0][0, 0] ^= np.uint64(1)
+        return final, accumulator, steps
+
+    monkeypatch.setattr(BitwiseProgram, "relax", corrupted)

@@ -417,7 +417,7 @@ def test_engine_never_in_cache_keys(tmp_path):
         cache.characterization_key(
             "ripple_adder", 3, False, ExperimentConfig(engine=engine), 1
         )
-        for engine in ("auto", "bool", "packed")
+        for engine in ("auto", "bool", "compiled")
     }
     assert len(keys) == 1
     # Dict-shaped configs get the same treatment.
@@ -426,7 +426,7 @@ def test_engine_never_in_cache_keys(tmp_path):
     ) == cache.make_key({"config": {"n": 1}})
     from repro.runtime.cache import _config_payload
 
-    assert _config_payload({"n": 1, "engine": "packed"}) == {"n": 1}
+    assert _config_payload({"n": 1, "engine": "compiled"}) == {"n": 1}
     # The oracle self-check can only reject wrong traces, never change
     # correct ones — it must not split the cache either.
     assert _config_payload({"n": 1, "self_check": True}) == {"n": 1}

@@ -1,9 +1,9 @@
-"""The public Session facade: parity with the layered API, name shims.
+"""The public Session facade: parity with the layered API, validation.
 
 Every facade call must reproduce the layered calls exactly (same seeds,
 same config plumbing) — parity is pinned at 1e-9 or exact array
-equality.  The renamed-parameter shims must keep old spellings working
-while warning exactly once per process per call site.
+equality.  Parameter spellings removed with the rename shims must fail
+with Python's own ``TypeError``.
 """
 
 import warnings
@@ -12,21 +12,19 @@ import numpy as np
 import pytest
 
 import repro
-from repro._compat import reset_deprecation_registry
+import repro.circuit
+from repro.circuit import ENGINES, PowerSimulator
 from repro.core import characterize_module
 from repro.eval import ExperimentConfig
 from repro.modules import make_module
-from repro.runtime import characterization_seed
+from repro.runtime import (
+    CharacterizationJob,
+    characterization_seed,
+    characterize_jobs,
+)
 from repro.stats.wordstats import WordStats
 
 CONFIG = ExperimentConfig(n_characterization=300, seed=11)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_registry():
-    reset_deprecation_registry()
-    yield
-    reset_deprecation_registry()
 
 
 @pytest.fixture(scope="module")
@@ -160,99 +158,68 @@ def test_session_validation():
 
 
 # ----------------------------------------------------------------------
-# Renamed-parameter shims: old spellings work and warn exactly once
+# Removed spellings fail loudly; engines are validated at the boundary
 # ----------------------------------------------------------------------
-def _deprecations(record):
-    return [w for w in record if issubclass(w.category, DeprecationWarning)]
+REQUESTS = [CharacterizationJob("ripple_adder", 2)]
+
+#: The removed rename shims took today's keyword behind a prefix.
+OLD_PREFIX = {"engine": "simulation_", "jobs": "n_"}
 
 
-def test_session_engine_shim_warns_once():
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        first = repro.Session(config=CONFIG, simulation_engine="bool")
-        second = repro.Session(config=CONFIG, simulation_engine="bool")
-    assert first.config.engine == "bool"
-    assert second.config.engine == "bool"
-    caught = _deprecations(record)
-    assert len(caught) == 1
-    assert "simulation_engine" in str(caught[0].message)
-    assert "engine" in str(caught[0].message)
+def _old(**kwargs):
+    """Today's keywords, respelled the way the removed shims took them."""
+    return {OLD_PREFIX[name] + name: value for name, value in kwargs.items()}
 
 
-def test_session_n_jobs_shim_warns_once():
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        first = repro.Session(config=CONFIG, n_jobs=3)
-        repro.Session(config=CONFIG, n_jobs=2)
-    assert first.jobs == 3
-    assert len(_deprecations(record)) == 1
+#: Spellings removed with the rename shims, each as a call that must fail.
+REMOVED_SPELLINGS = {
+    "Session-engine": lambda module: repro.Session(
+        config=CONFIG, **_old(engine="bool")
+    ),
+    "Session-jobs": lambda module: repro.Session(
+        config=CONFIG, **_old(jobs=2)
+    ),
+    "PowerSimulator-engine": lambda module: PowerSimulator(
+        module.compiled, **_old(engine="bool")
+    ),
+    "characterize_module-engine": lambda module: characterize_module(
+        module, n_patterns=200, **_old(engine="bool")
+    ),
+    "characterize_jobs-jobs": lambda module: characterize_jobs(
+        REQUESTS, config=CONFIG, **_old(jobs=1)
+    ),
+    "characterize_jobs-request-list": lambda module: characterize_jobs(
+        jobs=REQUESTS, config=CONFIG
+    ),
+    "circuit.OperatingPoint": lambda module: repro.circuit.OperatingPoint,
+}
 
 
-def test_simulator_engine_shim_warns_once(ripple8):
-    from repro.circuit import PowerSimulator
-
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        sim = PowerSimulator(ripple8.compiled, simulation_engine="bool")
-        PowerSimulator(ripple8.compiled, simulation_engine="packed")
-    assert sim.engine == "bool"
-    assert len(_deprecations(record)) == 1
+@pytest.mark.parametrize("name", sorted(REMOVED_SPELLINGS))
+def test_removed_spellings_raise(name, ripple8):
+    """Old keywords are Python's own TypeError; the moved OperatingPoint
+    is an AttributeError (it lives in repro.tech)."""
+    expected = AttributeError if name.startswith("circuit.") else TypeError
+    with pytest.raises(expected):
+        REMOVED_SPELLINGS[name](ripple8)
 
 
-def test_characterize_module_engine_shim(ripple8):
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        result = characterize_module(
-            ripple8, n_patterns=200, seed=1, simulation_engine="bool"
-        )
-    assert result.model is not None
-    assert len(_deprecations(record)) == 1
-    direct = characterize_module(
-        ripple8, n_patterns=200, seed=1, engine="bool"
-    )
-    np.testing.assert_array_equal(
-        result.model.coefficients, direct.model.coefficients
-    )
+@pytest.mark.parametrize("engine", ["packed", "simd"])
+def test_session_rejects_unknown_engine(engine):
+    """Bad engines fail at construction, listing the choices, not deep
+    inside the first characterization."""
+    with pytest.raises(ValueError, match="engine must be one of") as info:
+        repro.Session(config=CONFIG, engine=engine)
+    assert all(name in str(info.value) for name in ENGINES)
+    with pytest.raises(ValueError, match="engine must be one of"):
+        repro.Session(config=ExperimentConfig(engine=engine))
 
 
-def test_characterize_jobs_n_jobs_shim():
-    from repro.runtime import CharacterizationJob, characterize_jobs
-
-    jobs = [CharacterizationJob("ripple_adder", 2)]
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        report = characterize_jobs(jobs, config=CONFIG, n_jobs=1)
-        characterize_jobs(jobs, config=CONFIG, n_jobs=1)
-    assert report.failures == 0
-    assert len(_deprecations(record)) == 1
-
-
-def test_characterize_jobs_legacy_positional_list():
-    """jobs=<sequence> used to be the request list; still works, warns."""
-    from repro.runtime import CharacterizationJob, characterize_jobs
-
-    requests = [CharacterizationJob("ripple_adder", 2)]
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        report = characterize_jobs(jobs=requests, config=CONFIG)
-    assert report.failures == 0
-    assert len(report.results) == 1
-    caught = _deprecations(record)
-    assert len(caught) == 1
-    assert "requests" in str(caught[0].message)
-
-
-def test_new_spellings_do_not_warn(tmp_path):
-    from repro.runtime import CharacterizationJob, characterize_jobs
-
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
+def test_new_spellings_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         repro.Session(config=CONFIG, engine="bool", jobs=2)
-        characterize_jobs(
-            [CharacterizationJob("ripple_adder", 2)],
-            config=CONFIG, jobs=1,
-        )
-    assert _deprecations(record) == []
+        characterize_jobs(REQUESTS, config=CONFIG, jobs=1)
 
 
 # ----------------------------------------------------------------------

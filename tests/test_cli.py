@@ -225,22 +225,9 @@ def test_verify_fuzz_unknown_kind(capsys):
     assert "unknown module kind" in capsys.readouterr().err
 
 
-def test_verify_fuzz_reports_failure(tmp_path, capsys, monkeypatch):
-    """With a corrupted packed kernel the CLI exits 1 and points at the
+def test_verify_fuzz_reports_failure(tmp_path, capsys, compiled_toggle_bug):
+    """With a corrupted compiled kernel the CLI exits 1 and points at the
     generated repro artifact."""
-    import numpy as np
-
-    import repro.circuit.power as power_mod
-
-    real = power_mod.packed_unit_delay_transition
-
-    def corrupted(compiled, settled, new_inputs):
-        final, accumulator = real(compiled, settled, new_inputs)
-        if accumulator.planes:
-            accumulator.planes[0][0, 0] ^= np.uint64(1)
-        return final, accumulator
-
-    monkeypatch.setattr(power_mod, "packed_unit_delay_transition", corrupted)
     assert main([
         "verify", "fuzz", "--budget", "2000", "--seed", "0",
         "--artifacts", str(tmp_path),

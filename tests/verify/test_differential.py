@@ -90,23 +90,14 @@ def test_classification_permutation_invariance():
 # ----------------------------------------------------------------------
 # Injected bugs are caught
 # ----------------------------------------------------------------------
-def test_engine_parity_catches_packed_corruption(monkeypatch):
-    """A single flipped accumulator bit in the packed kernel is detected."""
-    real = power_mod.packed_unit_delay_transition
-
-    def corrupted(compiled, settled, new_inputs):
-        final, accumulator = real(compiled, settled, new_inputs)
-        if accumulator.planes:
-            accumulator.planes[0][0, 0] ^= np.uint64(1)
-        return final, accumulator
-
-    monkeypatch.setattr(
-        power_mod, "packed_unit_delay_transition", corrupted
-    )
+def test_engine_parity_catches_plane_corruption(compiled_toggle_bug):
+    """A single flipped accumulator bit in the compiled kernel is detected."""
     case = _case(n_patterns=50)
     module, bits = _prepared(case)
     mismatches = check_engine_parity(case, module, bits)
-    assert {m.check for m in mismatches} >= {"engine_parity_toggles_packed"}
+    assert {m.check for m in mismatches} >= {
+        "engine_parity_toggles_compiled"
+    }
 
 
 def test_engine_parity_catches_compiled_corruption(monkeypatch):
@@ -199,19 +190,8 @@ def test_fuzz_respects_kind_filter(tmp_path):
     assert set(report.kind_counts) == {"ripple_adder"}
 
 
-def test_fuzz_reports_and_shrinks_mismatches(monkeypatch, tmp_path):
+def test_fuzz_reports_and_shrinks_mismatches(compiled_toggle_bug, tmp_path):
     """A fuzz session over buggy code fails, shrinks and writes repros."""
-    real = power_mod.packed_unit_delay_transition
-
-    def corrupted(compiled, settled, new_inputs):
-        final, accumulator = real(compiled, settled, new_inputs)
-        if accumulator.planes:
-            accumulator.planes[0][0, 0] ^= np.uint64(1)
-        return final, accumulator
-
-    monkeypatch.setattr(
-        power_mod, "packed_unit_delay_transition", corrupted
-    )
     report = run_fuzz(
         budget=2000, seed=0, artifacts_dir=str(tmp_path),
         max_mismatching_cases=1,
