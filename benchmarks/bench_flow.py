@@ -9,7 +9,9 @@ gate-level reference.
 import numpy as np
 
 from .conftest import SMALL, run_once
-from repro.flow import DatapathPower, ModelLibrary
+from repro import Session
+from repro.eval import ExperimentConfig
+from repro.flow import DatapathPower
 from repro.signals import ar1_gaussian
 from repro.stats import DataflowGraph, word_stats
 
@@ -31,7 +33,11 @@ def test_fir_budget(benchmark):
         g.add("s23", "p2", "p3")
         g.add("y", "s01", "s23")
         dp = DatapathPower(
-            g, ModelLibrary(n_patterns=n_char, seed=5), default_width=8
+            g,
+            Session(config=ExperimentConfig(
+                n_characterization=n_char, seed=5
+            )),
+            default_width=8,
         )
         analytic = dp.estimate_analytic()
         word = dp.estimate_from_words({"x": x})

@@ -9,7 +9,9 @@ minimums only where this repo has made explicit promises:
 * ``src/repro/tech/`` — the technology calibration layer and its PAE
   reports;
 * ``src/repro/modules/`` — the datapath library, spec addressing and
-  the parameterized variant generators.
+  the parameterized variant generators;
+* ``src/repro/flow/`` — dataflow budgeting, whose node models must stay
+  the ones every other entry point characterizes.
 
 There is deliberately **no hard global gate**: the global number is
 printed (and appended to ``$GITHUB_STEP_SUMMARY`` when set) so the trend
@@ -40,6 +42,7 @@ FLOORS = (
     ("src/repro/serve/", 55.0),
     ("src/repro/tech/", 80.0),
     ("src/repro/modules/", 70.0),
+    ("src/repro/flow/", 85.0),
 )
 
 

@@ -17,7 +17,7 @@ Subpackages:
     eval      experiment harness reproducing every table and figure
     runtime   characterization service: parallel job fan-out and the
               persistent content-addressed model/trace cache
-    flow      model libraries and dataflow power budgeting
+    flow      dataflow power budgeting over Session-bound models
     opt       model-driven low-power optimization (binding, reordering)
     tech      technology calibration: node tables, physical units
               (coulombs/joules/watts/area/leakage), PAE reports

@@ -291,8 +291,10 @@ class Session:
 
     @staticmethod
     def _as_bits(served, stream: Any) -> np.ndarray:
+        from .serve.sessions import bit_matrix
+
         if isinstance(stream, np.ndarray) and stream.ndim == 2:
-            return stream.astype(bool)
+            return bit_matrix(stream, served.module.input_bits)
         if (isinstance(stream, (list, tuple)) and stream
                 and all(isinstance(s, (list, tuple, np.ndarray))
                         for s in stream)):
@@ -301,7 +303,7 @@ class Session:
                 from .serve.batching import streams_to_bits
 
                 return streams_to_bits(served.module, stream)
-            return np.asarray(stream, dtype=bool)
+            return bit_matrix(stream, served.module.input_bits)
         raise TypeError(
             "stream must be a 2-D 0/1 matrix or per-operand word lists"
         )

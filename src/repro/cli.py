@@ -17,7 +17,7 @@ Usage examples::
     repro-power reproduce -o report.txt
     repro-power verilog --kind csa_multiplier --width 8 -o mult.v
     repro-power hotspots --kind csa_multiplier --width 8 --data-type III
-    repro-power budget my_filter.json --models ./model_cache
+    repro-power budget my_filter.json --cache-dir ./model_cache
     repro-power verify fuzz --budget 2000 --seed 0
     repro-power serve --port 8719 --jobs 4
     repro-power warmup --jobs 4           # pre-fill the model cache
@@ -166,7 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=8,
                    help="default operand width")
     p.add_argument("--patterns", type=int, default=3000)
-    p.add_argument("--models", help="directory for persisted model library")
+    p.add_argument("--cache-dir",
+                   help="persistent cache directory for the node models")
 
     p = sub.add_parser(
         "verify", help="differential verification (see docs/VERIFICATION.md)"
@@ -616,11 +617,13 @@ def _cmd_cache(args) -> int:
 def _cmd_estimate(args) -> int:
     import time
 
+    from .api import Session
     from .circuit import PowerSimulator
-    from .core import PowerEstimator, characterize_module
+    from .core import PowerEstimator
     from .core.serialize import load_model
     from .core.hd_model import HdPowerModel
     from .core.enhanced import EnhancedHdModel
+    from .eval import ExperimentConfig
     from .modules import make_module
     from .signals import make_operand_streams, module_stimulus
     from .tech import Calibration
@@ -646,10 +649,10 @@ def _cmd_estimate(args) -> int:
             )
             return 2
     else:
-        model = characterize_module(
-            module, n_patterns=args.patterns, seed=args.seed,
+        model = Session(config=ExperimentConfig(
+            n_characterization=args.patterns, seed=args.seed,
             engine=args.engine,
-        ).model
+        )).characterize(args.kind, args.width).model
 
     streams = make_operand_streams(module, args.data_type, args.patterns,
                                    seed=args.seed + 1)
@@ -747,13 +750,17 @@ def _cmd_hotspots(args) -> int:
 
 
 def _cmd_budget(args) -> int:
-    from .flow import DatapathPower, ModelLibrary, load_graph
+    from .api import Session
+    from .eval import ExperimentConfig
+    from .flow import DatapathPower, load_graph
 
     graph, widths = load_graph(args.graph)
-    library = ModelLibrary(
-        n_patterns=args.patterns, directory=args.models
+    # seed=0, the ``characterize`` default: node models match its output.
+    session = Session(
+        cache_dir=args.cache_dir,
+        config=ExperimentConfig(n_characterization=args.patterns, seed=0),
     )
-    budgeter = DatapathPower(graph, library, default_width=args.width)
+    budgeter = DatapathPower(graph, session, default_width=args.width)
     for node, width in widths.items():
         budgeter.set_width(node, width)
     print(budgeter.estimate_analytic().render())

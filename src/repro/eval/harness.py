@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuit.power import PowerSimulator, PowerTrace
-from ..core.characterize import CharacterizationResult, characterize_module
+from ..core.characterize import CharacterizationResult
 from ..obs.tracing import span
 from ..core.events import TransitionEvents, classify_transitions
 from ..core.metrics import average_error, cycle_error
 from ..modules.library import DatapathModule, make_module
 from ..runtime.cache import ModelCache
-from ..runtime.service import characterization_seed
+from ..runtime.service import CharacterizationJob, characterize_jobs
 from ..signals.registry import make_operand_streams
 from ..signals.streams import PatternStream, module_stimulus
 
@@ -195,50 +195,30 @@ class Harness:
     def characterization(
         self, kind: str, width: int, enhanced: bool = False
     ) -> CharacterizationResult:
-        """Characterize (cached, memory then disk) one module instance."""
+        """Characterize (cached, memory then disk) one module instance.
+
+        Goes through :func:`~repro.runtime.service.characterize_jobs`, so
+        the result equals ``Session(config).characterize(kind, width)``.
+        """
         key = (kind, width, enhanced)
         if key not in self._characterizations:
-            seed = characterization_seed(
-                self.config.seed, width, enhanced, kind
-            )
-            disk_key = None
-            if self.cache is not None:
-                disk_key = self.cache.characterization_key(
-                    kind, width, enhanced, self.config, seed
-                )
-                cached = self.cache.load_characterization(disk_key)
-                if cached is not None:
-                    self.counters["characterization_hits"] += 1
-                    self._characterizations[key] = cached
-                    return cached
-                self.counters["characterization_misses"] += 1
-            module = self.module(kind, width)
-            started = time.perf_counter()
             with span(
                 "harness.characterize", kind=kind, width=width,
                 enhanced=enhanced,
             ):
-                result = characterize_module(
-                    module,
-                    n_patterns=self.config.n_characterization,
-                    seed=seed,
-                    enhanced=enhanced,
-                    glitch_aware=self.config.glitch_aware,
-                    glitch_weight=self.config.glitch_weight,
-                    stimulus=(self.config.enhanced_stimulus if enhanced
-                              else self.config.basic_stimulus),
-                    engine=getattr(self.config, "engine", "auto"),
+                report = characterize_jobs(
+                    [CharacterizationJob(kind, width, enhanced)],
+                    config=self.config, jobs=1, cache=self.cache,
                 )
-            self.counters["characterize_seconds"] += (
-                time.perf_counter() - started
-            )
-            self.counters["simulated_patterns"] += result.n_patterns
+            result = report.results[0]
+            self.counters["characterization_hits"] += report.cache_hits
+            self.counters["characterization_misses"] += report.cache_misses
+            if not report.cache_hits:
+                self.counters["characterize_seconds"] += (
+                    report.elapsed_seconds
+                )
+                self.counters["simulated_patterns"] += result.n_patterns
             self._characterizations[key] = result
-            if self.cache is not None and disk_key is not None:
-                self.cache.store_characterization(
-                    disk_key, result,
-                    meta={"kind": kind, "width": width, "enhanced": enhanced},
-                )
         return self._characterizations[key]
 
     def evaluation_data(

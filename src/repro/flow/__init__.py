@@ -1,13 +1,11 @@
-"""Design-level power budgeting: model libraries and dataflow binding."""
+"""Design-level power budgeting: dataflow graphs bound to Session models."""
 
 from .graph_io import graph_from_dict, graph_to_dict, load_graph
-from .library import ModelLibrary
 from .power import DEFAULT_OP_KINDS, DatapathPower, NodePower, PowerBudget
 
 __all__ = [
     "DEFAULT_OP_KINDS",
     "DatapathPower",
-    "ModelLibrary",
     "NodePower",
     "PowerBudget",
     "graph_from_dict",

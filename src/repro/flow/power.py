@@ -15,30 +15,26 @@ levels:
 
 Operator-to-module defaults: ``add``/``sub`` map to ripple adder and
 subtractor, ``delay`` to a register bank, ``mux`` to a word multiplexer and
-``cmul`` to a CSD constant-multiplier netlist (coefficients quantized to
-``frac_bits`` fractional bits).
+``cmul`` to the ``constant_multiplier[c=…]`` family (coefficients quantized
+to ``frac_bits`` fractional bits).  Nodes are bound by spec string through
+a :class:`~repro.Session`'s registry: the models ``Session.characterize``
+returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..api import Session
 from ..circuit.power import PowerSimulator
-from ..core.characterize import characterize_module
 from ..core.distribution import hd_distribution_from_dbt, compose_hd_distributions
-from ..core.estimator import PowerEstimator
 from ..core.events import classify_transitions
-from ..core.hd_model import HdPowerModel
-from ..modules.library import DatapathModule
-from ..modules.multipliers import constant_multiplier, golden_constant_multiplier
 from ..signals.encoding import saturate, to_unsigned
 from ..stats.dbt import DbtModel
 from ..stats.propagate import DataflowGraph
-from ..stats.wordstats import WordStats
-from .library import ModelLibrary
 
 DEFAULT_OP_KINDS: Dict[str, str] = {
     "add": "ripple_adder",
@@ -76,10 +72,10 @@ class PowerBudget:
         lines = [f"power budget ({self.method})"]
         for n in self.nodes:
             lines.append(
-                f"  {n.node:16s} {n.kind:18s} w={n.width:<3d} "
+                f"  {n.node:16s} {n.kind:26s} w={n.width:<3d} "
                 f"{n.average_charge:10.2f}"
             )
-        lines.append(f"  {'TOTAL':16s} {'':18s} {'':5s} {self.total:10.2f}")
+        lines.append(f"  {'TOTAL':16s} {'':26s} {'':5s} {self.total:10.2f}")
         return "\n".join(lines)
 
 
@@ -89,30 +85,32 @@ class DatapathPower:
     Args:
         graph: The dataflow graph (propagated or not; ``propagate`` is
             invoked on demand).
-        library: Shared :class:`ModelLibrary` for registry module kinds.
+        session: The :class:`~repro.Session` whose registry characterizes
+            (or loads from its cache) every node's model; its config
+            carries the pattern budget, seed and simulator settings.
         default_width: Operand width used for nodes without an explicit
             :meth:`set_width`.
-        op_kinds: Override of the operator-to-module-kind mapping.
+        op_kinds: Override of the operator-to-module-kind mapping (any
+            module spec string, e.g. ``{"add": "trunc_adder[k=2]"}``).
         frac_bits: Fractional bits for quantizing ``cmul`` coefficients.
     """
 
     def __init__(
         self,
         graph: DataflowGraph,
-        library: Optional[ModelLibrary] = None,
+        session: Optional[Session] = None,
         default_width: int = 8,
         op_kinds: Optional[Dict[str, str]] = None,
         frac_bits: int = 8,
     ):
         self.graph = graph
-        self.library = library or ModelLibrary()
+        self.session = session if session is not None else Session()
         self.default_width = default_width
         self.op_kinds = dict(DEFAULT_OP_KINDS)
         if op_kinds:
             self.op_kinds.update(op_kinds)
         self.frac_bits = frac_bits
         self._widths: Dict[str, int] = {}
-        self._cmul_cache: Dict[Tuple[int, int], Tuple[DatapathModule, HdPowerModel]] = {}
         self._propagated = False
 
     # ------------------------------------------------------------------
@@ -133,39 +131,19 @@ class DatapathPower:
             if self.graph.node(name).op != "input"
         ]
 
-    # ------------------------------------------------------------------
-    def _cmul_binding(
-        self, width: int, coefficient: float
-    ) -> Tuple[DatapathModule, HdPowerModel]:
-        mantissa = int(round(coefficient * (1 << self.frac_bits)))
-        key = (width, mantissa)
-        if key not in self._cmul_cache:
-            netlist = constant_multiplier(width, mantissa)
-            module = DatapathModule(
-                kind=f"constant_multiplier[{mantissa}]",
-                operand_specs=(("a", width),),
-                netlist=netlist,
-                golden=golden_constant_multiplier(
-                    width, mantissa, len(netlist.outputs)
-                ),
-                output_width=len(netlist.outputs),
-            )
-            model = characterize_module(
-                module,
-                n_patterns=self.library.n_patterns,
-                seed=self.library.seed + mantissa + 7 * width,
-                glitch_aware=self.library.glitch_aware,
-            ).model
-            self._cmul_cache[key] = (module, model)
-        return self._cmul_cache[key]
-
-    def _binding(self, name: str) -> Tuple[DatapathModule, HdPowerModel]:
+    def spec_of(self, name: str) -> str:
+        """Module spec string bound to one operator node."""
         node = self.graph.node(name)
-        width = self.width_of(name)
         if node.op == "cmul":
-            return self._cmul_binding(width, node.coefficient)
-        kind = self.op_kinds[node.op]
-        return self.library.module(kind, width), self.library.model(kind, width)
+            mantissa = int(round(node.coefficient * (1 << self.frac_bits)))
+            return f"constant_multiplier[c={mantissa}]"
+        return self.op_kinds[node.op]
+
+    def binding(self, name: str):
+        """The registry's served model (module + estimator) for a node."""
+        return self.session.registry().get(
+            self.spec_of(name), self.width_of(name), mode="exact"
+        )
 
     # ------------------------------------------------------------------
     # Path 1: fully analytic
@@ -178,7 +156,7 @@ class DatapathPower:
         rows: List[NodePower] = []
         for name in self.operator_nodes():
             node = self.graph.node(name)
-            module, model = self._binding(name)
+            served = self.binding(name)
             width = self.width_of(name)
             pmfs = []
             for src in node.inputs:
@@ -194,10 +172,10 @@ class DatapathPower:
                 toggle = 2.0 * p * (1.0 - p)
                 pmfs.append(np.array([1.0 - toggle, toggle]))
             pmf = compose_hd_distributions(pmfs)
-            charge = PowerEstimator(model).estimate_from_distribution(
-                _fit_length(pmf, model.width + 1)
+            charge = served.estimator.estimate_from_distribution(
+                _fit_length(pmf, served.module.input_bits + 1)
             ).average_charge
-            rows.append(NodePower(name, module.kind, width, charge))
+            rows.append(NodePower(name, served.kind, width, charge))
         return PowerBudget("analytic", tuple(rows))
 
     # ------------------------------------------------------------------
@@ -208,7 +186,7 @@ class DatapathPower:
     ) -> np.ndarray:
         node = self.graph.node(name)
         width = self.width_of(name)
-        module, _ = self._binding(name)
+        module = self.binding(name).module
         operands: List[np.ndarray] = []
         for src in node.inputs:
             words = saturate(values[src], width)
@@ -226,12 +204,13 @@ class DatapathPower:
         values = self.graph.simulate(inputs, seed=seed)
         rows: List[NodePower] = []
         for name in self.operator_nodes():
-            module, model = self._binding(name)
+            served = self.binding(name)
             bits = self._operand_bits(name, values)
             events = classify_transitions(bits)
+            model = served.estimator.model
             charge = float(model.predict_cycle(events.hd).mean())
             rows.append(
-                NodePower(name, module.kind, self.width_of(name), charge)
+                NodePower(name, served.kind, self.width_of(name), charge)
             )
         return PowerBudget("word-level + macro-model", tuple(rows))
 
@@ -243,16 +222,20 @@ class DatapathPower:
     ) -> PowerBudget:
         """Budget from gate-level simulation of every bound module."""
         values = self.graph.simulate(inputs, seed=seed)
+        config = self.session.config
         rows: List[NodePower] = []
         for name in self.operator_nodes():
-            module, _ = self._binding(name)
+            served = self.binding(name)
             bits = self._operand_bits(name, values)
             simulator = PowerSimulator(
-                module.compiled, glitch_aware=self.library.glitch_aware
+                served.module.compiled,
+                glitch_aware=config.glitch_aware,
+                glitch_weight=config.glitch_weight,
+                engine=config.engine,
             )
             charge = simulator.simulate(bits).average_charge
             rows.append(
-                NodePower(name, module.kind, self.width_of(name), charge)
+                NodePower(name, served.kind, self.width_of(name), charge)
             )
         return PowerBudget("gate-level reference", tuple(rows))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,8 +74,10 @@ from .dsp import (
 )
 from .multipliers import (
     booth_wallace_multiplier as _booth_wallace_fn,
+    constant_multiplier as _constant_multiplier_fn,
     csa_multiplier as _csa_multiplier_fn,
     dadda_multiplier as _dadda_fn,
+    golden_constant_multiplier as _golden_constant_multiplier,
     golden_multiplier as _golden_multiplier,
 )
 
@@ -176,7 +178,7 @@ class ModuleKind:
         feature_names: Human-readable names of the features.
         params: Parameter schema (empty for plain kinds).
         parent: Exact parent kind of a variant family (``None`` for
-            plain kinds).
+            plain kinds and parent-less families).
         degenerate: ``(params, width) -> bool`` — True when the
             parameters reduce the variant to the exact parent; such
             specs collapse to ``parent`` during resolution.
@@ -201,20 +203,6 @@ def _linear_features(width: int) -> np.ndarray:
 
 def _quadratic_features(width: int) -> np.ndarray:
     return np.array([width * width, width, 1.0])
-
-
-def _make_two_operand(kind, build_netlist, golden_factory):
-    def build(width: int) -> DatapathModule:
-        netlist = build_netlist(width)
-        return DatapathModule(
-            kind=kind,
-            operand_specs=(("a", width), ("b", width)),
-            netlist=netlist,
-            golden=golden_factory(width),
-            output_width=len(netlist.outputs),
-        )
-
-    return build
 
 
 def _build_ripple(width: int) -> DatapathModule:
@@ -486,6 +474,19 @@ def _build_seg_adder(width: int, s: int) -> DatapathModule:
     )
 
 
+def _build_constant_multiplier(width: int, c: int) -> DatapathModule:
+    netlist = _constant_multiplier_fn(width, c)
+    out_width = len(netlist.outputs)
+    return DatapathModule(
+        kind=_variant_kind("constant_multiplier", {"c": c}),
+        operand_specs=(("a", width),),
+        netlist=netlist,
+        golden=_golden_constant_multiplier(width, c, out_width),
+        output_width=out_width,
+        params={"c": c},
+    )
+
+
 def _build_mac_reordered(width: int, order: str) -> DatapathModule:
     netlist = _mac_reordered_fn(width, order)
     return DatapathModule(
@@ -516,6 +517,15 @@ _CUT_PARAM = ParamSpec(
 )
 
 _VARIANT_KINDS: Tuple[ModuleKind, ...] = (
+    ModuleKind(
+        "constant_multiplier", _build_constant_multiplier,
+        _linear_features, ("m", "1"),
+        params=(ParamSpec(
+            name="c", type="int", default=3,
+            minimum=-(2 ** 15), maximum=2 ** 15 - 1,
+            doc="signed integer constant (CSD shift-add network)",
+        ),),
+    ),
     ModuleKind(
         "trunc_adder", _build_trunc_adder, _linear_features, ("m", "1"),
         params=(_CUT_PARAM,),

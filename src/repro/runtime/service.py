@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.characterize import CharacterizationResult, characterize_module
 from ..modules.library import make_module
+from ..modules.spec import canonical_kind
 from ..obs import tracing
 from .cache import ModelCache
 
@@ -170,6 +171,16 @@ def _run_job(
     return result, trace_ctx.payload() if trace_ctx is not None else None
 
 
+def _canonical_job(job: CharacterizationJob) -> CharacterizationJob:
+    """The job under its canonical kind, so every spelling of one model
+    gets one seed and one cache key; an unresolvable kind fails per job."""
+    try:
+        kind = canonical_kind(job.kind, job.width)
+    except ValueError:
+        return job
+    return CharacterizationJob(kind, job.width, job.enhanced)
+
+
 def characterize_jobs(
     requests: Sequence[CharacterizationJob],
     config: Any = None,
@@ -214,7 +225,8 @@ def characterize_jobs(
         "service.characterize_jobs", requests=len(requests), workers=jobs
     ):
         pending: List[Tuple[int, CharacterizationJob, Optional[str]]] = []
-        for index, job in enumerate(requests):
+        for index, requested in enumerate(requests):
+            job = _canonical_job(requested)
             key = None
             if cache is not None:
                 key = cache.characterization_key(

@@ -53,6 +53,7 @@ __all__ = [
     "StreamingEstimator",
     "UnknownSessionError",
     "WrongWorkerError",
+    "bit_matrix",
     "parse_session_worker",
 ]
 
@@ -145,6 +146,22 @@ class RunningEstimate:
         return body
 
 
+def bit_matrix(bits: Any, width: int) -> np.ndarray:
+    """The ``[n, width]`` 0/1 input matrix as bool; ``ValueError`` for a
+    wrong shape or any other entry (empty input gives ``[0, width]``)."""
+    matrix = np.asarray(bits)
+    if matrix.size == 0:
+        return np.zeros((0, width), dtype=bool)
+    if matrix.ndim != 2 or matrix.shape[1] != width:
+        raise ValueError(
+            f"bits must be an [n, {width}] 0/1 matrix, got "
+            f"shape {matrix.shape}"
+        )
+    if not np.isin(matrix, (0, 1)).all():
+        raise ValueError("bit matrix entries must be 0/1")
+    return matrix.astype(bool)
+
+
 class StreamingEstimator:
     """Incremental trace estimation with exact segment-seam accounting.
 
@@ -193,7 +210,7 @@ class StreamingEstimator:
         accounted (that is the seam the concatenation metamorphic relation
         pins), so streaming row-by-row gives the same answer as one shot.
         """
-        segment = self._validate(bits)
+        segment = bit_matrix(bits, self.width)
         block = segment
         if self.last_row is not None and segment.shape[0]:
             block = np.concatenate([self.last_row[None, :], segment])
@@ -247,19 +264,6 @@ class StreamingEstimator:
     finalize = estimate
 
     # ------------------------------------------------------------------
-    def _validate(self, bits: Any) -> np.ndarray:
-        matrix = np.asarray(bits)
-        if matrix.size == 0:
-            return np.zeros((0, self.width), dtype=bool)
-        if matrix.ndim != 2 or matrix.shape[1] != self.width:
-            raise ValueError(
-                f"segment must be an [n, {self.width}] 0/1 matrix, got "
-                f"shape {matrix.shape}"
-            )
-        if not np.isin(matrix, (0, 1)).all():
-            raise ValueError("segment entries must be 0/1")
-        return matrix.astype(bool)
-
     def _self_check(self, block: np.ndarray) -> None:
         """Oracle cross-check of this append's transitions (seam included)."""
         from ..circuit.power import PowerSimulator

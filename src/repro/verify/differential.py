@@ -28,7 +28,11 @@ the output is known exactly:
   counts are invariant under any permutation of input bit columns;
 * **cache keys** — the persistent cache must key identically for
   bit-identical engines (``engine`` is speed provenance, not result
-  provenance).
+  provenance);
+* **model identity** — one ``(spec, width)`` yields bit-identical
+  coefficients through every way of obtaining a model: the ``Session``
+  facade, its registry, the experiment harness, a ``repro.flow`` graph
+  binding and ``repro-power characterize --json``.
 
 On a mismatch the case is handed to :mod:`repro.verify.shrink`, which
 minimizes it and writes a standalone repro script under
@@ -45,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuit.packed import PACKED_AVAILABLE
-from ..circuit.power import ENGINES, PowerSimulator, PowerTrace
+from ..circuit.power import ENGINES, PowerSimulator
 from ..circuit.simulate import (
     evaluate_outputs,
     functional_values,
@@ -667,6 +671,93 @@ def check_variant_spec() -> List[Mismatch]:
     return out
 
 
+#: A plain kind, a variant and the ``cmul`` operator's family.
+MODEL_IDENTITY_SPECS: Tuple[Tuple[str, int], ...] = (
+    ("ripple_adder", 6),
+    ("trunc_adder[k=2]", 6),
+    ("constant_multiplier[c=77]", 6),
+)
+
+
+def _flow_model(spec: str, width: int, session):
+    """The model a one-node ``repro.flow`` graph binds for ``spec``."""
+    from ..flow import DatapathPower
+    from ..modules.spec import resolve_spec
+    from ..stats.propagate import DataflowGraph
+    from ..stats.wordstats import WordStats
+
+    graph = DataflowGraph()
+    for name in ("a", "b"):
+        graph.add_input(name, WordStats(0.0, 16.0, 0.0))
+    resolved = resolve_spec(spec, width=width)
+    if resolved.entry.name == "constant_multiplier":
+        graph.cmul("n", "a", resolved.params["c"] / 256)  # frac_bits=8
+    else:
+        graph.add("n", "a", "b")
+    return DatapathPower(
+        graph, session, default_width=width, op_kinds={"add": spec}
+    ).binding("n").estimator.model
+
+
+def _cli_coefficients(spec: str, width: int, config) -> List[float]:
+    """Coefficients ``repro-power characterize --json`` prints."""
+    import contextlib
+    import io
+    import json
+
+    from ..cli import main
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        main(["characterize", "--kind", spec, "--width", str(width),
+              "--patterns", str(config.n_characterization),
+              "--seed", str(config.seed), "--json"])
+    return json.loads(stdout.getvalue())["jobs"][0].get("coefficients")
+
+
+def check_model_identity(
+    n_patterns: int = 200,
+    seed: int = 0,
+    specs: Sequence[Tuple[str, int]] = MODEL_IDENTITY_SPECS,
+) -> List[Mismatch]:
+    """One ``(spec, width)``, one model, whatever the entry point.
+
+    ``Session.characterize`` is the reference; its registry, the
+    :class:`~repro.eval.harness.Harness`, a
+    :class:`~repro.flow.DatapathPower` node binding and
+    ``characterize --json`` must return bit-identical coefficients under
+    the same config.  No path has a disk cache, so each characterizes.
+    """
+    from ..api import Session
+    from ..eval.harness import ExperimentConfig, Harness
+
+    config = ExperimentConfig(n_characterization=n_patterns, seed=seed)
+    harness = Harness(config)
+    out: List[Mismatch] = []
+    for spec, width in specs:
+        reference = Session(config=config).characterize(spec, width).model
+        got = {
+            "registry": Session(config=config).registry().get(
+                spec, width, mode="exact"
+            ).estimator.model.coefficients,
+            "harness": harness.characterization(spec, width)
+            .model.coefficients,
+            "flow": _flow_model(spec, width, Session(config=config))
+            .coefficients,
+            "cli": _cli_coefficients(spec, width, config),
+        }
+        for name, coefficients in got.items():
+            if not np.array_equal(coefficients, reference.coefficients):
+                out.append(Mismatch(
+                    f"model_identity_{name}",
+                    FuzzCase(kind=spec, width=width,
+                             n_patterns=n_patterns, seed=seed),
+                    f"{name} coefficients differ from Session.characterize",
+                ))
+    return out
+
+
 #: All per-case checks, in execution order.
 CASE_CHECKS: Tuple[Callable, ...] = (
     check_engine_parity,
@@ -804,6 +895,7 @@ def run_fuzz(
     report = FuzzReport(budget=budget, seed=seed)
     report.mismatches.extend(check_cache_key_engine_independence())
     report.mismatches.extend(check_variant_spec())
+    report.mismatches.extend(check_model_identity())
     pool = tuple(kinds) if kinds else DEFAULT_KINDS
     failing_cases = 0
     while report.n_transitions < budget:

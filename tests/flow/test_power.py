@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.flow import DatapathPower, ModelLibrary, PowerBudget
+from repro import Session
+from repro.eval import ExperimentConfig
+from repro.flow import DatapathPower, PowerBudget
 from repro.signals import ar1_gaussian
 from repro.stats import DataflowGraph, WordStats, word_stats
+
+
+def _session(n_patterns, seed):
+    return Session(config=ExperimentConfig(
+        n_characterization=n_patterns, seed=seed
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -17,8 +25,7 @@ def fir_setup():
     g.cmul("p0", "x", 0.4)
     g.cmul("p1", "x1", 0.4)
     g.add("y", "p0", "p1")
-    lib = ModelLibrary(n_patterns=1500, seed=3)
-    return x, DatapathPower(g, lib, default_width=8)
+    return x, DatapathPower(g, _session(1500, 3), default_width=8)
 
 
 def test_operator_nodes(fir_setup):
@@ -79,7 +86,7 @@ def test_mux_node_budgeting():
     g.add_input("a", WordStats(0.0, 400.0, 0.5))
     g.add_input("b", WordStats(0.0, 400.0, 0.5))
     g.mux("m", "a", "b", select_prob=0.5)
-    dp = DatapathPower(g, ModelLibrary(n_patterns=1000, seed=5),
+    dp = DatapathPower(g, _session(1000, 5),
                        default_width=4)
     analytic = dp.estimate_analytic()
     assert analytic.by_node()["m"].kind == "mux_word"
@@ -100,7 +107,7 @@ def test_sub_node_uses_subtractor():
     g.add_input("a", WordStats(0.0, 100.0, 0.0))
     g.add_input("b", WordStats(0.0, 100.0, 0.0))
     g.sub("d", "a", "b")
-    dp = DatapathPower(g, ModelLibrary(n_patterns=800, seed=6),
+    dp = DatapathPower(g, _session(800, 6),
                        default_width=6)
     assert dp.estimate_analytic().by_node()["d"].kind == "subtractor"
 
@@ -111,7 +118,7 @@ def test_op_kind_override():
     g.add_input("b", WordStats(0.0, 100.0, 0.0))
     g.add("s", "a", "b")
     dp = DatapathPower(
-        g, ModelLibrary(n_patterns=800, seed=7), default_width=6,
+        g, _session(800, 7), default_width=6,
         op_kinds={"add": "cla_adder"},
     )
     assert dp.estimate_analytic().by_node()["s"].kind == "cla_adder"
@@ -121,7 +128,7 @@ def test_cmul_power_of_two_is_free():
     g = DataflowGraph()
     g.add_input("a", WordStats(0.0, 100.0, 0.0))
     g.cmul("h", "a", 0.5)  # exactly representable: pure shift
-    dp = DatapathPower(g, ModelLibrary(n_patterns=500, seed=8),
+    dp = DatapathPower(g, _session(500, 8),
                        default_width=6)
     budget = dp.estimate_analytic()
     assert budget.by_node()["h"].average_charge == pytest.approx(0.0)
@@ -131,7 +138,7 @@ def test_cmul_general_coefficient_costs():
     g = DataflowGraph()
     g.add_input("a", WordStats(0.0, 100.0, 0.0))
     g.cmul("h", "a", 0.3)  # needs adders
-    dp = DatapathPower(g, ModelLibrary(n_patterns=800, seed=8),
+    dp = DatapathPower(g, _session(800, 8),
                        default_width=6)
     budget = dp.estimate_analytic()
     assert budget.by_node()["h"].average_charge > 0.0

@@ -197,6 +197,27 @@ class TestModuleObject:
         assert status == 400
         assert body["error"]["code"] == "unknown_module"
 
+    @pytest.mark.parametrize("payload", [
+        {"module": {"kind": "constant_multiplier", "width": 4,
+                    "params": {"c": 2 ** 15}}},
+        {"module": {"kind": "constant_multiplier[c=-99999]/4"}},
+        {"kind": "constant_multiplier[c=1000000000]", "width": 4},
+    ])
+    @pytest.mark.parametrize("endpoint", ["bits", "analytic"])
+    def test_out_of_range_constant_is_structured_4xx(
+        self, server, payload, endpoint
+    ):
+        body = dict(payload)
+        if endpoint == "bits":
+            body["bits"] = np.zeros((2, 4), dtype=int).tolist()
+        else:
+            body["operand_stats"] = [{"mean": 0.0, "variance": 4.0}]
+        status, answer = request_once(
+            server.port, "POST", f"/v1/estimate/{endpoint}", body
+        )
+        assert 400 <= status < 500
+        assert "param c" in answer["error"]["message"]
+
     def test_missing_width_structured_400(self, server):
         status, body = request_once(
             server.port, "POST", "/v1/estimate/bits",

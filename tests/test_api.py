@@ -108,6 +108,18 @@ def test_estimate_rejects_garbage(session):
         session.estimate("ripple_adder", 3, "not a stream")
 
 
+@pytest.mark.parametrize("stream", [
+    pytest.param(np.full((4, 6), 2), id="twos"),
+    pytest.param(np.full((4, 6), -1), id="minus-ones"),
+    pytest.param([[2] * 6] * 4, id="twos-rows"),
+    pytest.param(np.zeros((4, 5), dtype=int), id="wrong-columns"),
+])
+def test_estimate_rejects_non_bit_matrices(session, stream):
+    # ripple_adder/3 has 6 input bits; only an [n, 6] 0/1 matrix is valid.
+    with pytest.raises(ValueError):
+        session.estimate("ripple_adder", 3, stream)
+
+
 def test_estimate_analytic_parity(session):
     stats = [
         WordStats(mean=0.0, variance=3.0, rho=0.4),

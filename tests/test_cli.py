@@ -150,6 +150,41 @@ def test_budget_command(tmp_path, capsys):
     assert "TOTAL" in out and "ripple_adder" in out and "w=9" in out
 
 
+def test_budget_cache_dir_second_run_is_all_hits(tmp_path, capsys):
+    import json
+
+    from repro.obs import tracing
+
+    graph = {
+        "inputs": {"x": {"mean": 0.0, "variance": 400.0, "rho": 0.8}},
+        "nodes": [
+            {"name": "x1", "op": "delay", "inputs": ["x"]},
+            {"name": "p", "op": "cmul", "inputs": ["x"],
+             "coefficient": 0.3},
+            {"name": "y", "op": "add", "inputs": ["p", "x1"]},
+        ],
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    argv = ["budget", str(path), "--width", "4", "--patterns", "300",
+            "--cache-dir", str(tmp_path / "cache")]
+
+    def run():
+        with tracing.trace("test.budget") as ctx:
+            assert main(argv) == 0
+        names = [r["name"] for r in ctx.records()]
+        return capsys.readouterr().out, names
+
+    first, first_spans = run()
+    second, second_spans = run()
+    assert first == second
+    assert "constant_multiplier[c=77]" in first
+    assert first_spans.count("characterize") == 3
+    assert "characterize" not in second_spans
+    assert "characterize.batch" not in second_spans
+    assert second_spans.count("service.characterize_jobs") == 3
+
+
 def test_characterize_multi_job_parallel_with_cache(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     argv = [
