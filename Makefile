@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test test-all fuzz verify coverage bench bench-small bench-sim bench-serve bench-fleet bench-smoke serve-smoke serve-fleet-smoke stream-smoke tech-smoke pareto-smoke profile-smoke char-smoke report examples clean
+.PHONY: install test test-all fuzz verify coverage bench bench-small bench-sim bench-smoke tech-smoke pareto-smoke profile-smoke char-smoke report examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -37,43 +37,11 @@ bench-small:
 bench-sim:
 	PYTHONPATH=src python benchmarks/bench_simulate.py
 
-# Micro-batched vs per-request serving throughput on a 16-bit multiplier;
-# verifies 1e-9 result parity and appends the speedup to BENCH_serve.json.
-bench-serve:
-	PYTHONPATH=src python benchmarks/bench_serve.py
-
-# Fleet capacity: closed-loop flood against the multi-process supervisor
-# at 1/2/4/8 workers (pre-warmed; first request asserted cold-start-free);
-# appends p50/p99/throughput per worker count to BENCH_serve.json.
-bench-fleet:
-	PYTHONPATH=src python benchmarks/bench_serve.py --workers 1,2,4,8
-
 # Tiny end-to-end check of the parallel characterization path and the
 # persistent cache: two CLI runs with --jobs 2; the second must be served
 # entirely from disk.
 bench-smoke:
 	PYTHONPATH=src python scripts/bench_smoke.py
-
-# End-to-end check of the serving layer (docs/SERVING.md): real HTTP over
-# loopback, 200-request burst across every estimate endpoint, 1e-9 parity
-# vs a direct estimator call, populated histograms, 429 under flood.
-serve-smoke:
-	PYTHONPATH=src python scripts/serve_smoke.py
-
-# End-to-end check of the multi-process fleet (docs/SERVING.md): two
-# forked SO_REUSEPORT workers on one port, warm-inherited model tier
-# (first request has zero characterize spans), flood spread over every
-# worker, 1e-9 parity, aggregated worker-labelled /metrics + /healthz.
-serve-fleet-smoke:
-	PYTHONPATH=src python scripts/serve_fleet_smoke.py
-
-# Soak-test of the streaming session layer (docs/SERVING.md): one
-# 100-segment session with interleaved concurrent sessions on a single
-# server (zero 5xx, monotone transition counts, 1e-9 final parity vs the
-# offline estimate), then sticky sessions + clean wrong-worker 409s
-# against a 2-worker SO_REUSEPORT fleet.
-stream-smoke:
-	PYTHONPATH=src python scripts/stream_smoke.py
 
 # End-to-end check of the technology calibration layer
 # (docs/TECHNOLOGY.md): a PAE sweep over two module families x three

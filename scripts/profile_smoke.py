@@ -20,8 +20,8 @@ a few seconds.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
+import http.client
 import io
 import json
 import sys
@@ -41,7 +41,6 @@ from repro.serve import (  # noqa: E402
     ModelRegistry,
     ServerThread,
 )
-from repro.serve.loadgen import http_request  # noqa: E402
 
 KIND = "ripple_adder"
 WIDTH = 4
@@ -118,20 +117,18 @@ def smoke_serve_trace() -> None:
     ).encode()
     server = EstimationServer(registry, jobs=2)
 
-    async def go(port, headers=None, method="POST",
-                 path="/v1/estimate/bits", payload=body):
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    def go(port, headers=None, method="POST",
+           path="/v1/estimate/bits", payload=body):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
         try:
-            return await http_request(
-                reader, writer, method, path, payload, headers=headers
-            )
+            conn.request(method, path, payload, headers or {})
+            response = conn.getresponse()
+            return response.status, response.read()
         finally:
-            writer.close()
+            conn.close()
 
     with ServerThread(server) as thread:
-        status, raw = asyncio.run(
-            go(thread.port, headers={"X-Repro-Trace": "1"})
-        )
+        status, raw = go(thread.port, headers={"X-Repro-Trace": "1"})
         check(status == 200, "traced request answers 200")
         answer = json.loads(raw)
         check("trace" in answer, "response envelope carries a trace block")
@@ -144,13 +141,12 @@ def smoke_serve_trace() -> None:
         check(validate_chrome(trace["chrome"]) == [],
               "embedded chrome trace validates")
 
-        status, raw = asyncio.run(go(thread.port))
+        status, raw = go(thread.port)
         check(status == 200 and "trace" not in json.loads(raw),
               "untraced request pays no trace cost")
 
-        status, page = asyncio.run(
-            go(thread.port, method="GET", path="/metrics", payload=None)
-        )
+        status, page = go(thread.port, method="GET", path="/metrics",
+                          payload=None)
         text = page.decode()
         check(status == 200, "/metrics answers 200")
         check("serve_traced_requests_total 1" in text,

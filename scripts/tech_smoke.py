@@ -23,7 +23,7 @@ real, over loopback sockets.
 
 from __future__ import annotations
 
-import asyncio
+import http.client
 import json
 import sys
 import tempfile
@@ -41,7 +41,6 @@ from repro.serve import (  # noqa: E402
     ModelRegistry,
     ServerThread,
 )
-from repro.serve.loadgen import http_request  # noqa: E402
 from repro.tech import (  # noqa: E402
     get_node,
     pae_report,
@@ -56,14 +55,14 @@ CONFIG = ExperimentConfig(n_characterization=300, seed=5)
 
 
 def request_once(port: int, method: str, path: str, body: bytes = None):
-    async def _go():
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        try:
-            return await http_request(reader, writer, method, path, body)
-        finally:
-            writer.close()
-
-    return asyncio.run(_go())
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request(method, path, body,
+                     {"Content-Type": "application/json"} if body else {})
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
 
 
 def check_pae_sweep(session: repro.Session) -> None:

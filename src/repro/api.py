@@ -172,10 +172,16 @@ class Session:
         vdd: Optional[float] = None,
         f_clk: Optional[float] = None,
     ) -> EstimationResult:
-        """Distribution-based estimation (Section 6.3 fast path)."""
+        """Distribution-based estimation (Section 6.3 fast path).
+
+        ``ValueError`` unless ``distribution`` is a pmf: finite entries
+        >= 0 summing to 1.
+        """
+        from .serve.sessions import hd_distribution
+
         served = self._served(kind, width, enhanced)
         result = served.estimator.estimate_from_distribution(
-            np.asarray(distribution, dtype=np.float64)
+            hd_distribution(distribution)
         )
         return self._calibrate(result, served, node, vdd, f_clk)
 
@@ -190,18 +196,17 @@ class Session:
         vdd: Optional[float] = None,
         f_clk: Optional[float] = None,
     ) -> EstimationResult:
-        """Fully analytic estimation from (μ, σ², ρ) word statistics."""
+        """Fully analytic estimation from (μ, σ², ρ) word statistics.
+
+        ``ValueError`` unless every mean is finite, every variance finite
+        and >= 0, and every ``|ρ| <= 1``.
+        """
+        from .serve.sessions import operand_word_stats
+
         served = self._served(kind, width, enhanced)
-        stats = [
-            s if isinstance(s, WordStats) else WordStats(
-                mean=float(s["mean"]),
-                variance=float(s["variance"]),
-                rho=float(s.get("rho", 0.0)),
-            )
-            for s in operand_stats
-        ]
         result = served.estimator.estimate_analytic(
-            served.module, stats, use_distribution=use_distribution
+            served.module, operand_word_stats(operand_stats),
+            use_distribution=use_distribution,
         )
         return self._calibrate(result, served, node, vdd, f_clk)
 

@@ -22,8 +22,6 @@ Usage examples::
     repro-power serve --port 8719 --jobs 4
     repro-power warmup --jobs 4           # pre-fill the model cache
     repro-power serve --port 8719 --workers 4 --warmup default
-    repro-power loadgen --port 8719 -n 1000 --kind csa_multiplier
-    repro-power stream --port 8719 --segments 100 --kind ripple_adder
 
 The ``table``/``figure``/``reproduce`` subcommands regenerate the paper's
 evaluation artifacts (see EXPERIMENTS.md); ``--scale small`` trades
@@ -37,7 +35,7 @@ Machine-facing conventions (see docs/API.md):
 * ``--profile PATH`` wraps the command in a trace and writes a Chrome
   ``about://tracing`` JSON to PATH (plus a span tree on stderr).
 * Exit codes: 0 success, 1 partial/complete failure (failed jobs,
-  fuzz mismatches, 5xx), 2 usage errors.
+  fuzz mismatches), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -266,60 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir",
                    help="persistent model cache directory (default "
                         "~/.cache/repro-hd or $REPRO_CACHE_DIR)")
-    p.add_argument("--json", action="store_true", dest="as_json",
-                   help="print one machine-readable result envelope")
-
-    p = sub.add_parser(
-        "loadgen", help="closed-loop load generator for a running server"
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
-    p.add_argument("-n", "--requests", type=int, default=200)
-    p.add_argument("--concurrency", type=int, default=8)
-    p.add_argument("--kind", default="csa_multiplier")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--endpoints", default="bits,streams,distribution,analytic",
-                   help="comma-separated endpoint families to mix")
-    p.add_argument("--trace-rows", type=int, default=24,
-                   help="rows per synthesized trace request")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("-o", "--output",
-                   help="also write the report as JSON to this file")
-
-    p = sub.add_parser(
-        "stream",
-        help="drive streaming estimation sessions against a running server",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
-    p.add_argument("--kind", default="ripple_adder")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--sessions", type=int, default=4,
-                   help="streaming sessions to run")
-    p.add_argument("--segments", type=int, default=20,
-                   help="append calls per session")
-    p.add_argument("--rows", type=int, default=16,
-                   help="trace rows per appended segment")
-    p.add_argument("--concurrency", type=int, default=4)
-    p.add_argument("--enhanced", action="store_true",
-                   help="use the enhanced (stable-zeros) model")
-    p.add_argument("--self-check", action="store_true",
-                   help="ask the server to re-verify each segment's "
-                        "leading transitions against the simulator")
-    p.add_argument("--node",
-                   help="technology node (e.g. 45nm): sessions report "
-                        "physical units alongside the normalized estimate")
-    p.add_argument("--vdd", type=float,
-                   help="supply voltage in volts (default: the node's "
-                        "nominal)")
-    p.add_argument("--f-clk", type=float,
-                   help="clock frequency in hertz (default: the node's "
-                        "nominal, or 50 MHz without --node)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("-o", "--output",
-                   help="also write the report as JSON to this file")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="print one machine-readable result envelope")
 
@@ -1043,93 +987,6 @@ def _cmd_warmup(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_loadgen(args) -> int:
-    import json
-
-    from .serve import build_payloads, run_load_sync
-
-    endpoints = [e.strip() for e in args.endpoints.split(",") if e.strip()]
-    payloads = build_payloads(
-        args.kind, args.width, endpoints=endpoints,
-        trace_rows=args.trace_rows, seed=args.seed,
-    )
-    report = run_load_sync(
-        args.host, args.port, payloads,
-        n_requests=args.requests, concurrency=args.concurrency,
-        timeout=args.timeout,
-    )
-    print(report.summary())
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"report written to {args.output}")
-    return 1 if report.n_5xx or report.errors else 0
-
-
-def _cmd_stream(args) -> int:
-    import json
-    import time
-
-    from .serve import run_stream_load_sync
-
-    started = time.perf_counter()
-    report, results = run_stream_load_sync(
-        args.host, args.port, args.kind, args.width,
-        n_sessions=args.sessions,
-        segments_per_session=args.segments,
-        rows_per_segment=args.rows,
-        concurrency=args.concurrency,
-        seed=args.seed,
-        timeout=args.timeout,
-        enhanced=args.enhanced,
-        self_check=args.self_check,
-        node=args.node,
-        vdd=args.vdd,
-        f_clk=args.f_clk,
-    )
-    completed = [r for r in results if r.ok]
-    failed = args.sessions - len(completed)
-    session_rows = [
-        {
-            "session_id": r.session_id,
-            "segments": r.n_segments,
-            "rows": r.n_rows,
-            "final": r.final,
-        }
-        for r in results
-    ]
-    ok = not (report.n_5xx or report.errors or failed)
-    if getattr(args, "as_json", False):
-        _emit_envelope(
-            args, "stream", "ok" if ok else "failed", started,
-            {
-                "sessions": session_rows,
-                "completed": len(completed),
-                "failed": failed,
-                **report.to_dict(),
-            },
-            artifacts=[args.output] if args.output else (),
-        )
-    else:
-        print(report.summary())
-        for row in session_rows:
-            final = row["final"] or {}
-            print(
-                f"  {row['session_id'] or '<not created>'}: "
-                f"{row['segments']} segments, {row['rows']} rows, "
-                f"avg charge {final.get('average_charge', float('nan')):.6g}"
-            )
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(
-                {"report": report.to_dict(), "sessions": session_rows},
-                handle, indent=2,
-            )
-        if not getattr(args, "as_json", False):
-            print(f"report written to {args.output}")
-    return 0 if ok else 1
-
-
 def _cmd_report(args) -> int:
     import json
     import time
@@ -1235,8 +1092,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "serve": _cmd_serve,
     "warmup": _cmd_warmup,
-    "loadgen": _cmd_loadgen,
-    "stream": _cmd_stream,
     "characterize": _cmd_characterize,
     "cache": _cmd_cache,
     "estimate": _cmd_estimate,

@@ -13,8 +13,6 @@ high-throughput service.  This package is that service (docs/SERVING.md):
   queues, 429 backpressure, deadlines and graceful drain;
 * :mod:`metrics` — process-local counters/histograms exported at
   ``/metrics`` in Prometheus text format;
-* :mod:`loadgen` — the closed-loop load generator behind
-  ``repro-power loadgen`` and ``benchmarks/bench_serve.py``;
 * :mod:`warmup` — warmup manifests pre-materializing the model tier
   before traffic (``repro-power warmup``);
 * :mod:`fleet` — the multi-process supervisor: N ``SO_REUSEPORT``
@@ -28,14 +26,6 @@ high-throughput service.  This package is that service (docs/SERVING.md):
 
 from .batching import DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT, MicroBatcher
 from .fleet import FleetMetricsServer, ServeFleet, WorkerSpec
-from .loadgen import (
-    ENDPOINTS,
-    LoadReport,
-    StreamSessionResult,
-    build_payloads,
-    run_load_sync,
-    run_stream_load_sync,
-)
 from .metrics import (
     MetricsRegistry,
     ServeMetrics,
@@ -75,10 +65,8 @@ __all__ = [
     "DEFAULT_MAX_WAIT",
     "DEFAULT_PROTOTYPE_WIDTHS",
     "DEFAULT_WIDTH_SWEEP",
-    "ENDPOINTS",
     "EstimationServer",
     "FleetMetricsServer",
-    "LoadReport",
     "MANIFEST_VERSION",
     "MetricsRegistry",
     "MicroBatcher",
@@ -91,7 +79,6 @@ __all__ = [
     "ServerThread",
     "SessionBudgetError",
     "SessionStore",
-    "StreamSessionResult",
     "StreamingEstimator",
     "UnknownKindError",
     "UnknownSessionError",
@@ -101,10 +88,7 @@ __all__ = [
     "WarmupReport",
     "WorkerSpec",
     "aggregate_expositions",
-    "build_payloads",
     "default_manifest",
     "inject_label",
-    "run_load_sync",
-    "run_stream_load_sync",
     "warm_registry",
 ]

@@ -36,9 +36,9 @@ import numpy as np
 from ..core.estimator import EstimationResult
 from ..obs import tracing
 from ..obs.events import EVENTS
-from ..stats.wordstats import WordStats
 from .metrics import ServeMetrics
 from .registry import ServedModel
+from .sessions import hd_distribution, operand_word_stats
 
 #: Default flush bounds (the ISSUE's "2 ms or 64 requests").
 DEFAULT_MAX_BATCH = 64
@@ -190,8 +190,9 @@ class MicroBatcher:
         self, served: ServedModel, distribution: Sequence[float]
     ) -> EstimationResult:
         """Distribution-based estimation (Section 6.3): one dot product."""
-        pmf = np.asarray(distribution, dtype=np.float64)
-        return served.estimator.estimate_from_distribution(pmf)
+        return served.estimator.estimate_from_distribution(
+            hd_distribution(distribution)
+        )
 
     def estimate_analytic(
         self,
@@ -204,16 +205,9 @@ class MicroBatcher:
         Builds the Eq. 18 DBT Hamming-distance distribution per operand —
         no simulation, no bit patterns.
         """
-        stats = [
-            WordStats(
-                mean=float(s["mean"]),
-                variance=float(s["variance"]),
-                rho=float(s.get("rho", 0.0)),
-            )
-            for s in operand_stats
-        ]
         return served.estimator.estimate_analytic(
-            served.module, stats, use_distribution=use_distribution
+            served.module, operand_word_stats(operand_stats),
+            use_distribution=use_distribution,
         )
 
     # ------------------------------------------------------------------
@@ -237,6 +231,10 @@ def streams_to_bits(
     Args:
         module: Target :class:`DatapathModule`.
         words: One list of signed integers per operand, equal lengths.
+
+    Raises:
+        ValueError: Wrong operand count, unequal lengths, or a word that
+            is not an integer (floats are rejected, never truncated).
     """
     from ..signals.streams import PatternStream, module_stimulus
 
@@ -248,10 +246,12 @@ def streams_to_bits(
     lengths = {len(w) for w in words}
     if len(lengths) != 1:
         raise ValueError("operand word lists must have equal lengths")
+    arrays = [np.asarray(operand_words) for operand_words in words]
+    if any(a.ndim != 1 or (a.size and a.dtype.kind not in "iu")
+           for a in arrays):
+        raise ValueError("operand words must be lists of integers")
     streams = [
-        PatternStream(
-            np.asarray(operand_words, dtype=np.int64), width, name=name
-        )
-        for (name, width), operand_words in zip(module.operand_specs, words)
+        PatternStream(values.astype(np.int64), width, name=name)
+        for (name, width), values in zip(module.operand_specs, arrays)
     ]
     return module_stimulus(module, streams)

@@ -86,8 +86,8 @@ def _reuseport_socket(host: str, port: int) -> socket.socket:
 def _worker_main(spec, registry, inherited_sock, conn):  # pragma: no cover
     """Worker entry point (runs in the forked child).
 
-    Covered by the fleet integration test and ``serve-fleet-smoke``
-    rather than in-process coverage: it only ever executes post-fork.
+    Covered by the fleet integration tests in ``tests/serve`` rather than
+    in-process coverage: it only ever executes post-fork.
     """
     import asyncio
 

@@ -48,8 +48,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
-import numpy as np
-
 from ..modules.library import module_kinds
 from ..modules.spec import UnknownModuleError, resolve_spec
 from ..obs import tracing
@@ -70,6 +68,7 @@ from .sessions import (
     SessionStore,
     UnknownSessionError,
     WrongWorkerError,
+    bit_matrix,
 )
 
 #: Hard cap on request body size (bits matrices can be bulky but bounded).
@@ -811,7 +810,7 @@ class EstimationServer:
             kind, width, enhanced, deprecations = _parse_module(payload)
             try:
                 check_prefix = int(payload.get("check_prefix", 8))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ApiError(400, "bad_request",
                                "'check_prefix' must be an integer")
             calibration = _parse_calibration(payload)
@@ -922,17 +921,13 @@ class EstimationServer:
             raise ApiError(413, "too_large",
                            f"trace longer than {MAX_TRACE_ROWS} rows")
         try:
-            matrix = np.asarray(rows, dtype=np.int64)
-        except (TypeError, ValueError):
-            raise ApiError(400, "bad_request", "'bits' rows must be numeric")
-        if (matrix.ndim != 2 or matrix.shape[1] != input_bits
-                or not np.isin(matrix, (0, 1)).all()):
+            return bit_matrix(rows, input_bits)
+        except ValueError:
             raise ApiError(
                 400, "bad_request",
                 f"'bits' must be an [n, {input_bits}] 0/1 matrix for this "
                 f"model",
             )
-        return matrix.astype(bool)
 
     # ------------------------------------------------------------------
     # Introspection endpoints
@@ -961,7 +956,7 @@ class EstimationServer:
 class ServerThread:
     """Run an :class:`EstimationServer` on a dedicated event-loop thread.
 
-    The embedding used by tests, the smoke script and the benchmark: the
+    The embedding used by tests, smoke scripts and the benchmark: the
     caller's thread stays free to drive load while the server runs in the
     background.  ``stop()`` performs the same graceful drain as SIGTERM.
     """

@@ -32,17 +32,19 @@ redirect hint instead of a 5xx (see ``docs/SERVING.md``).
 
 from __future__ import annotations
 
+import math
 import secrets
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.accumulator import ClassAccumulator
 from ..core.events import classify_transitions
 from ..obs.tracing import span
+from ..stats.wordstats import WordStats
 from .registry import ServedModel
 
 __all__ = [
@@ -54,6 +56,8 @@ __all__ = [
     "UnknownSessionError",
     "WrongWorkerError",
     "bit_matrix",
+    "hd_distribution",
+    "operand_word_stats",
     "parse_session_worker",
 ]
 
@@ -150,16 +154,54 @@ def bit_matrix(bits: Any, width: int) -> np.ndarray:
     """The ``[n, width]`` 0/1 input matrix as bool; ``ValueError`` for a
     wrong shape or any other entry (empty input gives ``[0, width]``)."""
     matrix = np.asarray(bits)
-    if matrix.size == 0:
+    if matrix.ndim == 1 and matrix.size == 0:
         return np.zeros((0, width), dtype=bool)
     if matrix.ndim != 2 or matrix.shape[1] != width:
         raise ValueError(
             f"bits must be an [n, {width}] 0/1 matrix, got "
             f"shape {matrix.shape}"
         )
-    if not np.isin(matrix, (0, 1)).all():
+    if (matrix.dtype.kind not in "biuf"
+            or not ((matrix == 0) | (matrix == 1)).all()):
         raise ValueError("bit matrix entries must be 0/1")
     return matrix.astype(bool)
+
+
+def hd_distribution(distribution: Any) -> np.ndarray:
+    """A Hamming-distance pmf as float64; ``ValueError`` unless it is 1-D
+    with finite entries >= 0 summing to 1 within 1e-6 (the model checks
+    its length)."""
+    pmf = np.asarray(distribution, dtype=np.float64)
+    if pmf.ndim != 1 or not np.isfinite(pmf).all() or (pmf < 0).any():
+        raise ValueError(
+            "distribution must be a list of finite probabilities >= 0"
+        )
+    total = float(pmf.sum())
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"distribution must sum to 1, got {total:.6g}")
+    return pmf
+
+
+def operand_word_stats(operand_stats: Sequence[Any]) -> List[WordStats]:
+    """Per-operand :class:`WordStats` from instances or
+    ``{mean, variance, rho}`` mappings; ``ValueError`` unless the mean is
+    finite, the variance finite and >= 0, and ``|rho| <= 1``."""
+    stats = []
+    for item in operand_stats:
+        if not isinstance(item, WordStats):
+            item = WordStats(
+                mean=float(item["mean"]),
+                variance=float(item["variance"]),
+                rho=float(item.get("rho", 0.0)),
+            )
+        if not (math.isfinite(item.mean) and math.isfinite(item.variance)
+                and item.variance >= 0 and abs(item.rho) <= 1):
+            raise ValueError(
+                "operand statistics need a finite mean, a finite variance "
+                f">= 0 and |rho| <= 1, got {item}"
+            )
+        stats.append(item)
+    return stats
 
 
 class StreamingEstimator:

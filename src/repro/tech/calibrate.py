@@ -148,10 +148,10 @@ class Calibration:
     f_clk: Optional[float] = None
 
     def __post_init__(self):
-        if self.vdd is not None and not (self.vdd > 0):
-            raise ValueError("vdd must be positive")
-        if self.f_clk is not None and not (self.f_clk > 0):
-            raise ValueError("f_clk must be positive")
+        if self.vdd is not None and not (0 < self.vdd < np.inf):
+            raise ValueError("vdd must be positive and finite")
+        if self.f_clk is not None and not (0 < self.f_clk < np.inf):
+            raise ValueError("f_clk must be positive and finite")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -164,7 +164,8 @@ class Calibration:
         """Resolve user-facing specs (CLI flags, request fields).
 
         Raises:
-            ValueError: Unknown node name or non-positive vdd/f_clk.
+            ValueError: Unknown node name or a vdd/f_clk that is not
+                positive and finite.
         """
         resolved = None if node is None else get_node(node)
         return cls(

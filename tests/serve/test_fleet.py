@@ -2,7 +2,7 @@
 multi-process supervisor serving real HTTP across forked workers."""
 
 import json
-import os
+import re
 
 import numpy as np
 import pytest
@@ -13,16 +13,20 @@ from repro.serve import (
     ServeFleet,
     WarmupManifest,
     aggregate_expositions,
-    build_payloads,
     default_manifest,
     inject_label,
-    run_load_sync,
     warm_registry,
 )
 from repro.serve.fleet import FleetMetricsServer
 from repro.serve.registry import CharacterizationFailed
 
-from .conftest import SOCKET_TIMEOUT, request_once as _fleet_request
+from .conftest import (
+    SOCKET_TIMEOUT,
+    burst,
+    estimate_bodies,
+    needs_fork,
+    request_once as _fleet_request,
+)
 
 CONFIG = ExperimentConfig(n_characterization=300, seed=5)
 KIND, WIDTH = "ripple_adder", 4
@@ -204,11 +208,6 @@ def test_warm_registry_records_failures_without_raising(monkeypatch):
 # ----------------------------------------------------------------------
 # The fleet itself
 # ----------------------------------------------------------------------
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="fleet requires fork()"
-)
-
-
 @needs_fork
 def test_fleet_serves_across_workers_with_parity():
     registry = ModelRegistry(config=CONFIG, cache=None)
@@ -225,13 +224,10 @@ def test_fleet_serves_across_workers_with_parity():
 
         # Flood: enough concurrent connections that both SO_REUSEPORT
         # accept queues receive traffic (P[one worker starves] ~ 2^-15).
-        payloads = build_payloads(KIND, WIDTH, n_payloads=16, seed=7)
-        report = run_load_sync(
-            "127.0.0.1", fleet.port, payloads,
-            n_requests=120, concurrency=16,
-        )
-        assert report.n_5xx == 0
-        assert not report.errors
+        counts = burst(fleet.port, estimate_bodies(KIND, WIDTH, seed=7),
+                       n=120, concurrency=16)
+        assert sum(counts.values()) == 120
+        assert not [status for status in counts if status >= 500], counts
 
         # Bit-exact parity with the in-process estimator the workers
         # inherited: the fleet adds processes, never error.
@@ -258,9 +254,9 @@ def test_fleet_serves_across_workers_with_parity():
         assert "repro_fleet_workers_alive 2" in merged
         for worker_id in (0, 1):
             assert f'worker="{worker_id}"' in merged
-        assert merged.splitlines().count(
-            "# TYPE serve_requests_total counter"
-        ) == 1
+        families = re.findall(r"^# TYPE (\S+)", merged, re.MULTILINE)
+        assert "# TYPE serve_requests_total counter" in merged.splitlines()
+        assert len(families) == len(set(families)), families
 
         health = fleet.healthz()
         assert health["status"] == "ok"
@@ -336,13 +332,10 @@ def test_fleet_fallback_strategy_when_reuseport_unavailable(monkeypatch):
     registry.get(KIND, WIDTH)
     with ServeFleet(registry, workers=2) as fleet:
         assert fleet.strategy == "inherited"
-        payloads = build_payloads(KIND, WIDTH, n_payloads=8, seed=9)
-        report = run_load_sync(
-            "127.0.0.1", fleet.port, payloads,
-            n_requests=40, concurrency=8,
-        )
-        assert report.n_5xx == 0
-        assert not report.errors
+        counts = burst(fleet.port, estimate_bodies(KIND, WIDTH, n=8, seed=9),
+                       n=40, concurrency=8)
+        assert sum(counts.values()) == 40
+        assert not [status for status in counts if status >= 500], counts
 
 
 def test_fleet_rejects_bad_worker_counts():

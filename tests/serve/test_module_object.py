@@ -7,7 +7,6 @@ for bad specs, canonical collapse for degenerate params), while every
 pre-redesign legacy request must keep its response body *byte for byte*
 — three envelopes are pinned below."""
 
-import asyncio
 import json
 
 import numpy as np
@@ -15,9 +14,8 @@ import pytest
 
 from repro.eval import ExperimentConfig
 from repro.serve import EstimationServer, ModelRegistry, ServerThread
-from repro.serve.loadgen import http_request
 
-from .conftest import SOCKET_TIMEOUT, request_full, request_once
+from .conftest import SOCKET_TIMEOUT, request_full, request_once, request_raw
 
 CONFIG = ExperimentConfig(n_characterization=300, seed=5)
 
@@ -31,20 +29,6 @@ def server():
     with ServerThread(instance) as thread:
         registry.get("ripple_adder", 4)
         yield thread
-
-
-def request_raw(port, method, path, payload=None):
-    """One exchange returning the UNPARSED body bytes (byte-identity)."""
-    body = json.dumps(payload).encode() if payload is not None else None
-
-    async def go():
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        try:
-            return await http_request(reader, writer, method, path, body)
-        finally:
-            writer.close()
-
-    return asyncio.run(go())
 
 
 def _bits():

@@ -7,21 +7,25 @@ No pytest-asyncio: the client side runs under ``asyncio.run``.
 
 import asyncio
 import json
+import re
+import time
 
 import numpy as np
 import pytest
 
 from repro.eval import ExperimentConfig
-from repro.serve import (
-    EstimationServer,
-    ModelRegistry,
-    ServerThread,
-    build_payloads,
-    run_load_sync,
-)
-from repro.serve.loadgen import http_request
+from repro.runtime import ModelCache
+from repro.serve import EstimationServer, ModelRegistry, ServerThread
+from repro.serve.server import MAX_TRACE_ROWS
 
-from .conftest import SOCKET_TIMEOUT, request_once as request
+from .conftest import (
+    SOCKET_TIMEOUT,
+    burst,
+    estimate_bodies,
+    http_request,
+    request_once as request,
+    request_raw,
+)
 
 CONFIG = ExperimentConfig(n_characterization=300, seed=5)
 KIND, WIDTH = "ripple_adder", 4
@@ -109,6 +113,25 @@ def test_analytic_endpoint(server):
     assert answer["average_charge"] > 0
 
 
+#: Hd pmfs for a 9-class model that are not probability distributions.
+INVALID_DISTRIBUTIONS = (
+    [-1.0, 2.0] + [0.0] * 7,
+    [0.5] * 9,
+    [0.0] * 9,
+    [float("nan")] + [0.0] * 7 + [1.0],
+    [float("inf")] + [0.0] * 8,
+)
+_STATS = {"mean": 0.5, "variance": 12.0, "rho": 0.2}
+#: Per-operand word statistics outside their domain.
+INVALID_OPERAND_STATS = (
+    [dict(_STATS, variance=-5.0), _STATS],
+    [dict(_STATS, rho=3.0), _STATS],
+    [dict(_STATS, rho=-1.5), _STATS],
+    [dict(_STATS, mean=float("nan")), _STATS],
+    [dict(_STATS, variance=float("inf")), _STATS],
+)
+
+
 def test_validation_errors(server):
     cases = [
         ("/v1/estimate/bits", {"width": WIDTH, "bits": _bits()}),
@@ -126,6 +149,19 @@ def test_validation_errors(server):
          {"kind": KIND, "width": WIDTH, "distribution": []}),
         ("/v1/estimate/analytic",
          {"kind": KIND, "width": WIDTH, "operand_stats": [7]}),
+        # Fractional bits and words are rejected, never truncated.
+        ("/v1/estimate/bits",
+         {"kind": KIND, "width": WIDTH, "bits": [[0.5] * 8, [1] * 8]}),
+        ("/v1/estimate/streams",
+         {"kind": KIND, "width": WIDTH, "words": [[1.5, 2], [3, 4]]}),
+    ] + [
+        ("/v1/estimate/distribution",
+         {"kind": KIND, "width": WIDTH, "distribution": pmf})
+        for pmf in INVALID_DISTRIBUTIONS
+    ] + [
+        ("/v1/estimate/analytic",
+         {"kind": KIND, "width": WIDTH, "operand_stats": stats})
+        for stats in INVALID_OPERAND_STATS
     ]
     for path, payload in cases:
         status, answer = request(server.port, "POST", path, payload)
@@ -150,20 +186,117 @@ def test_unknown_route_and_method(server):
 
 
 def test_malformed_json_is_400(server):
-    async def go():
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", server.port
-        )
-        try:
-            return await http_request(
-                reader, writer, "POST", "/v1/estimate/bits", b"{nope"
-            )
-        finally:
-            writer.close()
-
-    status, raw = asyncio.run(go())
+    status, raw = request_raw(
+        server.port, "POST", "/v1/estimate/bits", b"{nope"
+    )
     assert status == 400
     assert json.loads(raw)["error"]["code"] == "bad_request"
+
+
+#: Values of the wrong type or out of range, tried in every field.
+_WRONG_VALUES = (
+    None, True, -1, 0, 2.5, float("nan"), float("inf"), "x", [], [[]], {},
+    [[0, 1], [0]], ["0"],
+)
+#: Non-object ``module`` addressing values.
+_BAD_MODULES = (
+    "ripple_adder", [], {}, {"kind": 4}, {"kind": KIND},
+    {"kind": KIND, "width": "4"}, {"kind": KIND, "width": 0},
+    {"kind": KIND, "width": WIDTH, "params": []},
+    {"kind": KIND, "width": WIDTH, "params": {"nope": 1}},
+    {"kind": "nope_adder", "width": WIDTH},
+)
+#: Bodies that are not a JSON object at all.
+_RAW_BODIES = (
+    b"", b"{", b'{"kind": ', b"{nope", b"[]", b"[1, 2]", b'"text"',
+    b"null", b"42", b"\xff\xfe\xfd", b'{"kind": "\xff"}',
+)
+_BAD_BITS = (
+    [[0.5] * 8, [1] * 8], [[2] * 8, [0] * 8], [[0, 1], [0]], [[], []],
+    [["0"] * 8, ["1"] * 8], [[None] * 8] * 2, [[float("nan")] * 8] * 2,
+    [[0] * 8] * (MAX_TRACE_ROWS + 1), "nope",
+)
+_BAD_WORDS = (
+    [[1.5, 2], [3, 4]], [[2 ** 70, 0], [0, 0]], [[1, 2], [3]],
+    [["a", "b"], [1, 2]], [[1, 2]], [[1, 2], [3, 4], [5, 6]],
+    [[100, 0], [0, 0]],
+)
+_BAD_PMFS = INVALID_DISTRIBUTIONS + (
+    [1.0 / 8] * 8, [[0.1]] * 9, ["a"] * 9, [None] * 9,
+)
+_BAD_STATS = INVALID_OPERAND_STATS + (
+    [{"mean": 0.0}, _STATS], ["x", _STATS], [{}, _STATS],
+    [{"mean": "a", "variance": 1.0}, _STATS], [_STATS], [_STATS] * 3,
+)
+
+
+def _sweep_cases(session_id):
+    """``(path, body, must_reject)`` over every POST route.
+
+    ``must_reject`` marks bodies that have to answer 4xx; everything
+    else only has to stay clear of 5xx.
+    """
+    address = {"kind": KIND, "width": WIDTH}
+    bases = {
+        "/v1/estimate/bits": dict(address, bits=_bits(rows=4)),
+        "/v1/estimate/streams": dict(address, words=[[0, 3], [1, -2]]),
+        "/v1/estimate/distribution": dict(address,
+                                          distribution=[1.0 / 9] * 9),
+        "/v1/estimate/analytic": dict(address,
+                                      operand_stats=[_STATS] * 2),
+        "/v1/sessions": dict(address),
+        f"/v1/sessions/{session_id}/append": {"bits": _bits(rows=4)},
+    }
+    optional = ("mode", "enhanced", "node", "vdd", "f_clk", "per_cycle",
+                "use_distribution", "self_check", "check_prefix")
+    special = {
+        "bits": _BAD_BITS, "words": _BAD_WORDS, "distribution": _BAD_PMFS,
+        "operand_stats": _BAD_STATS,
+    }
+    cases = []
+    for path, base in bases.items():
+        cases += [(path, raw, True) for raw in _RAW_BODIES]
+        for field in list(base) + list(optional):
+            cases.append((path, {k: v for k, v in base.items()
+                                 if k != field}, False))
+            for value in _WRONG_VALUES:
+                cases.append((path, dict(base, **{field: value}), False))
+            for value in special.get(field, ()):
+                cases.append((path, dict(base, **{field: value}), True))
+        if "kind" in base:
+            cases += [(path, {"module": module}, True)
+                      for module in _BAD_MODULES]
+    return cases
+
+
+def test_malformed_body_sweep_never_5xx(server):
+    """Every POST route answers malformed bodies with a structured 4xx
+    (or a 2xx where the body happens to be valid), never a 5xx."""
+    port = server.port
+    status, created = request(port, "POST", "/v1/sessions", {
+        "kind": KIND, "width": WIDTH,
+    })
+    assert status == 201
+    session_id = created["session_id"]
+    opened = [session_id]
+    cases = _sweep_cases(session_id)
+    assert len(cases) > 500
+    for path, body, must_reject in cases:
+        status, raw = request_raw(port, "POST", path, body)
+        label = (path, body if isinstance(body, bytes) else
+                 json.dumps(body)[:200], status, raw[:200])
+        assert status < 500, label
+        if must_reject:
+            assert 400 <= status < 500, label
+        if status >= 400:
+            error = json.loads(raw)["error"]
+            assert set(error) == {"code", "message"}, label
+            assert isinstance(error["code"], str), label
+            assert isinstance(error["message"], str), label
+        elif path == "/v1/sessions":
+            opened.append(json.loads(raw)["session_id"])
+    for sid in opened:
+        request(port, "DELETE", f"/v1/sessions/{sid}")
 
 
 def test_healthz(server):
@@ -192,6 +325,37 @@ def test_metrics_exposition(server):
     assert 'serve_requests_total{endpoint="bits",status="200"}' in text
 
 
+def test_cache_backed_mixed_burst(tmp_path):
+    """200 requests mixing all four estimate families at concurrency 8
+    against a ModelCache-backed registry: every answer 200, 1e-9 parity
+    with the direct estimator, populated latency and batch histograms."""
+    registry = ModelRegistry(config=CONFIG, cache=ModelCache(tmp_path))
+    instance = EstimationServer(registry, max_queue=256, jobs=2)
+    with ServerThread(instance) as thread:
+        counts = burst(thread.port, estimate_bodies(KIND, WIDTH, n=64),
+                       n=200, concurrency=8)
+        assert counts == {200: 200}
+
+        bits = _bits(rows=64, seed=17)
+        status, answer = request(thread.port, "POST", "/v1/estimate/bits", {
+            "kind": KIND, "width": WIDTH, "bits": bits,
+        })
+        assert status == 200
+        direct = registry.get(KIND, WIDTH).estimator.estimate_from_bits(
+            np.asarray(bits)
+        )
+        assert abs(answer["average_charge"] - direct.average_charge) <= 1e-9
+        assert answer["n_cycles"] == 63
+
+        status, page = request(thread.port, "GET", "/metrics")
+        assert status == 200
+        for metric in ("serve_request_seconds", "serve_batch_size"):
+            match = re.search(rf"^{metric}_count(?:{{[^}}]*}})? (\d+)",
+                              page, re.MULTILINE)
+            assert match and int(match.group(1)) > 0, metric
+    assert not thread._thread.is_alive()
+
+
 def test_backpressure_429_instead_of_stalling():
     """Over-queue load is rejected with 429 + Retry-After, never stalls."""
     registry = ModelRegistry(config=CONFIG, cache=None)
@@ -200,13 +364,14 @@ def test_backpressure_429_instead_of_stalling():
         registry, max_queue=2, jobs=1, batch_wait=0.05
     )
     with ServerThread(instance) as thread:
-        payloads = build_payloads(KIND, WIDTH, endpoints=("bits",),
-                                  trace_rows=8, seed=1)
-        report = run_load_sync("127.0.0.1", thread.port, payloads,
-                               n_requests=60, concurrency=12)
-    assert report.status_counts.get(429, 0) > 0, report.status_counts
-    assert report.n_5xx == 0
-    assert report.errors == 0
+        bodies = estimate_bodies(KIND, WIDTH, n=64, seed=9,
+                                 families=("bits",))
+        started = time.perf_counter()
+        counts = burst(thread.port, bodies, n=100, concurrency=16)
+        elapsed = time.perf_counter() - started
+    assert counts[429] > 0, counts
+    assert not [status for status in counts if status >= 500], counts
+    assert elapsed < 30, f"flood stalled for {elapsed:.1f}s"
 
     # And the Retry-After header is actually on the wire.
     instance2 = EstimationServer(
@@ -319,22 +484,6 @@ def test_drain_force_closes_stalled_keepalive_client():
 # ----------------------------------------------------------------------
 # Per-request tracing: X-Repro-Trace opt-in (see docs/OBSERVABILITY.md)
 # ----------------------------------------------------------------------
-def traced_request(port, method, path, payload=None, headers=None):
-    body = json.dumps(payload).encode() if payload is not None else None
-
-    async def go():
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        try:
-            return await http_request(
-                reader, writer, method, path, body, headers=headers
-            )
-        finally:
-            writer.close()
-
-    status, raw = asyncio.run(go())
-    return status, json.loads(raw) if raw.startswith(b"{") else raw.decode()
-
-
 def test_untraced_request_has_no_trace_payload(server):
     status, answer = request(server.port, "POST", "/v1/estimate/bits", {
         "kind": KIND, "width": WIDTH, "bits": _bits(rows=6),
@@ -347,7 +496,7 @@ def test_traced_request_returns_span_summary_and_chrome(server):
     from repro.obs import validate_chrome
 
     bits = _bits(rows=8)
-    status, answer = traced_request(
+    status, answer = request(
         server.port, "POST", "/v1/estimate/bits",
         {"kind": KIND, "width": WIDTH, "bits": bits},
         headers={"X-Repro-Trace": "1"},
@@ -375,7 +524,7 @@ def test_traced_request_returns_span_summary_and_chrome(server):
 
 
 def test_trace_header_false_values_disable(server):
-    status, answer = traced_request(
+    status, answer = request(
         server.port, "POST", "/v1/estimate/bits",
         {"kind": KIND, "width": WIDTH, "bits": _bits(rows=6)},
         headers={"X-Repro-Trace": "0"},

@@ -10,12 +10,19 @@ Three layers, cheapest first:
 * the ``Session.stream`` facade in :mod:`repro.api`.
 """
 
+import asyncio
 import json
 
 import numpy as np
 import pytest
 
-from repro.serve import ServerThread
+from repro.serve import (
+    ModelRegistry,
+    ServeFleet,
+    ServerThread,
+    WarmupManifest,
+    warm_registry,
+)
 from repro.serve.server import EstimationServer
 from repro.serve.sessions import (
     SessionBudgetError,
@@ -26,7 +33,14 @@ from repro.serve.sessions import (
     parse_session_worker,
 )
 
-from .conftest import SOCKET_TIMEOUT, request_full, request_once
+from .conftest import (
+    SERVE_CONFIG,
+    SOCKET_TIMEOUT,
+    http_request,
+    needs_fork,
+    request_full,
+    request_once,
+)
 
 KIND, WIDTH = "ripple_adder", 4
 
@@ -263,7 +277,10 @@ def test_http_session_metrics_and_healthz(session_server):
     assert health["sessions"]["open"] == 1
     status, page = request_once(port, "GET", "/metrics")
     assert "serve_sessions_open 1" in page
-    assert "serve_session_appends_total" in page
+    for series in ("serve_sessions_created_total",
+                   "serve_session_appends_total", "serve_session_rows_total",
+                   "serve_sessions_closed_total"):
+        assert series in page, series
     assert metrics.session_appends_total.value() == appends_before + 1
     assert metrics.session_rows_total.value() == rows_before + 8
     request_once(port, "DELETE", f"/v1/sessions/{sid}")
@@ -323,6 +340,134 @@ def test_self_check_session_accepts_honest_model(session_server):
     assert status == 200
     assert running["self_checked_transitions"] > 0
     request_once(port, "DELETE", f"/v1/sessions/{sid}")
+
+
+def test_http_long_session_with_interleaved_short_sessions(
+    session_server, served_adder4
+):
+    """A 100-segment session, a short session opened, fed and closed
+    every 10 segments: transition counts never decrease, no 5xx, and the
+    final estimate matches the offline one on the whole trace."""
+    port = session_server.port
+    rng = np.random.default_rng(42)
+    statuses = []
+
+    def call(method, path, payload=None):
+        status, answer = request_once(port, method, path, payload)
+        statuses.append(status)
+        return status, answer
+
+    status, created = call("POST", "/v1/sessions",
+                           {"kind": KIND, "width": WIDTH})
+    assert status == 201
+    sid = created["session_id"]
+    segments = []
+    last_transitions = -1
+    for index in range(100):
+        rows = rng.integers(0, 2, size=(16, 2 * WIDTH))
+        segments.append(rows)
+        status, running = call("POST", f"/v1/sessions/{sid}/append",
+                               {"bits": rows.tolist()})
+        assert status == 200, running
+        assert running["n_transitions"] >= last_transitions, index
+        last_transitions = running["n_transitions"]
+        if index % 10 == 5:
+            status, other = call("POST", "/v1/sessions",
+                                 {"kind": KIND, "width": WIDTH})
+            assert status == 201, other
+            other_id = other["session_id"]
+            call("POST", f"/v1/sessions/{other_id}/append",
+                 {"bits": rng.integers(0, 2, size=(8, 2 * WIDTH)).tolist()})
+            call("DELETE", f"/v1/sessions/{other_id}")
+
+    status, final = call("DELETE", f"/v1/sessions/{sid}")
+    assert status == 200
+    assert not [status for status in statuses if status >= 500], statuses
+    full = np.concatenate(segments)
+    assert final["n_rows"] == len(full)
+    assert_parity_dict(final, served_adder4, full)
+
+
+def _stream_sessions(port, segments_by_session, concurrency):
+    """Run one session per entry of ``segments_by_session``, each over its
+    own keep-alive connection (create, append every segment, finalize),
+    ``concurrency`` at a time.  Every answer must be below 400; returns
+    the finalized bodies."""
+    async def drive(segments, gate):
+        async with gate:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port
+            )
+            try:
+                async def call(method, path, payload=None):
+                    body = (None if payload is None
+                            else json.dumps(payload).encode())
+                    status, raw = await asyncio.wait_for(
+                        http_request(reader, writer, method, path, body),
+                        SOCKET_TIMEOUT,
+                    )
+                    assert status < 400, (method, path, status, raw)
+                    return json.loads(raw)
+
+                sid = (await call("POST", "/v1/sessions", {
+                    "kind": KIND, "width": WIDTH,
+                }))["session_id"]
+                for rows in segments:
+                    await call("POST", f"/v1/sessions/{sid}/append",
+                               {"bits": rows.tolist()})
+                return await call("DELETE", f"/v1/sessions/{sid}")
+            finally:
+                writer.close()
+
+    async def run():
+        gate = asyncio.Semaphore(concurrency)
+        return await asyncio.gather(
+            *(drive(segments, gate) for segments in segments_by_session)
+        )
+
+    return asyncio.run(run())
+
+
+@needs_fork
+def test_fleet_sessions_sticky_with_parity_and_clean_foreign_probes():
+    registry = ModelRegistry(config=SERVE_CONFIG, cache=None)
+    manifest = WarmupManifest.from_dict({
+        "entries": [{"kind": KIND, "widths": [WIDTH]}],
+    })
+    assert warm_registry(registry, manifest).ok
+    served = registry.get(KIND, WIDTH)
+    segments_by_session = [
+        [_bits(16, seed=7 + 7919 * index + segment)
+         for segment in range(12)]
+        for index in range(6)
+    ]
+
+    fleet = ServeFleet(registry, workers=2)
+    with fleet:
+        # Sessions that keep their connection stay on one worker.
+        finals = _stream_sessions(fleet.port, segments_by_session,
+                                  concurrency=3)
+        for final, segments in zip(finals, segments_by_session):
+            assert_parity_dict(final, served, np.concatenate(segments))
+
+        # Fresh connections land on either worker: the owner answers 200,
+        # the other a clean 409 naming the owner.
+        status, created = request_once(fleet.port, "POST", "/v1/sessions",
+                                       {"kind": KIND, "width": WIDTH})
+        assert status == 201
+        sid = created["session_id"]
+        outcomes = {200: 0, 409: 0}
+        for _ in range(24):
+            status, answer, headers = request_full(
+                fleet.port, "GET", f"/v1/sessions/{sid}"
+            )
+            assert status in outcomes, (status, answer)
+            if status == 409:
+                assert answer["error"]["code"] == "wrong_worker", answer
+                assert "X-Repro-Owner-Worker" in headers
+            outcomes[status] += 1
+        assert outcomes[200] > 0, outcomes
+    assert fleet.alive_workers() == 0
 
 
 # ----------------------------------------------------------------------

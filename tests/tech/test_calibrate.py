@@ -132,6 +132,11 @@ def test_from_spec_validation():
         Calibration.from_spec(vdd=-1.0)
     with pytest.raises(ValueError):
         Calibration.from_spec(f_clk=0.0)
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            Calibration.from_spec(vdd=value)
+        with pytest.raises(ValueError, match="finite"):
+            Calibration.from_spec(f_clk=value)
 
 
 def test_snapshot_round_trip():

@@ -148,6 +148,39 @@ def test_estimate_distribution_parity(session):
     )
 
 
+@pytest.mark.parametrize("pmf", [
+    pytest.param([-1.0, 2.0] + [0.0] * 5, id="negative"),
+    pytest.param([0.5] * 7, id="sum-3.5"),
+    pytest.param([0.0] * 7, id="all-zero"),
+    pytest.param([float("nan")] + [0.0] * 5 + [1.0], id="nan"),
+    pytest.param([float("inf")] + [0.0] * 6, id="inf"),
+])
+def test_estimate_distribution_rejects_non_pmfs(session, pmf):
+    # ripple_adder/3: 6 input bits, so 7 Hd classes.
+    with pytest.raises(ValueError, match="distribution"):
+        session.estimate_distribution("ripple_adder", 3, pmf)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param({"mean": 0.0, "variance": -5.0, "rho": 0.0},
+                 id="negative-variance"),
+    pytest.param({"mean": 0.0, "variance": 3.0, "rho": 3.0}, id="rho-3"),
+    pytest.param({"mean": float("nan"), "variance": 3.0}, id="nan-mean"),
+    pytest.param({"mean": 0.0, "variance": float("inf")}, id="inf-variance"),
+    pytest.param(WordStats(mean=0.0, variance=3.0, rho=-1.5),
+                 id="wordstats-rho"),
+])
+def test_estimate_analytic_rejects_invalid_stats(session, bad):
+    good = {"mean": 1.0, "variance": 2.0, "rho": 0.0}
+    with pytest.raises(ValueError, match="rho"):
+        session.estimate_analytic("ripple_adder", 3, [bad, good])
+
+
+def test_estimate_rejects_fractional_words(session):
+    with pytest.raises(ValueError, match="integers"):
+        session.estimate("ripple_adder", 3, [[1.5, 2], [3, 0]])
+
+
 def test_registry_is_cached_per_session(session):
     assert session.registry() is session.registry()
     estimator = session.estimator("ripple_adder", 3)

@@ -100,8 +100,11 @@ def test_table2_command_small(capsys):
 
 
 def test_invalid_command_rejected():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+    # ``loadgen`` and ``stream`` were removed; they are usage errors now.
+    for command in ("frobnicate", "loadgen", "stream"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
 
 
 def test_verilog_command(tmp_path, capsys):
@@ -286,30 +289,6 @@ def test_list_modules_json(capsys):
     # Machine-readable output must cover the whole library.
     from repro.modules import MODULE_KINDS
     assert set(by_kind) == set(MODULE_KINDS)
-
-
-def test_loadgen_against_server(tmp_path, capsys):
-    """repro-power loadgen drives a live in-process server to completion."""
-    from repro.eval import ExperimentConfig
-    from repro.serve import EstimationServer, ModelRegistry, ServerThread
-
-    registry = ModelRegistry(
-        config=ExperimentConfig(n_characterization=300, seed=5), cache=None
-    )
-    server = EstimationServer(registry)
-    report_path = tmp_path / "load.json"
-    with ServerThread(server) as thread:
-        code = main([
-            "loadgen", "--port", str(thread.port), "-n", "24",
-            "--concurrency", "4", "--kind", "ripple_adder", "--width", "4",
-            "-o", str(report_path),
-        ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "24 requests" in out
-    report = json.loads(report_path.read_text())
-    assert report["status_counts"] == {"200": 24}
-    assert report["errors"] == 0
 
 
 # ----------------------------------------------------------------------
