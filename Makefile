@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test test-all fuzz verify coverage bench bench-small bench-sim bench-smoke tech-smoke pareto-smoke profile-smoke char-smoke report examples clean
+.PHONY: install test test-all fuzz verify coverage bench bench-small bench-sim bench-smoke bench-e2e tech-smoke pareto-smoke profile-smoke char-smoke report examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -75,10 +75,19 @@ profile-smoke:
 	PYTHONPATH=src python scripts/profile_smoke.py
 
 # Cold characterization end to end through the benchmark runner: the
-# char_narrow workload for ~2 s; exits 1 unless every job succeeds with
+# char_narrow and char_wide workloads for ~2 s each (char_wide runs its
+# minimum job count, about 12 s); exits 1 unless every job succeeds with
 # bit-identical coefficients on every pass (benchmarks/e2e/README.md).
+# char_wide covers the multiplier, MAC and enhanced-model jobs.
 char-smoke:
 	python3 benchmarks/e2e/run.py --workload char_narrow --seed 3 --seconds 2
+	python3 benchmarks/e2e/run.py --workload char_wide --seed 3 --seconds 2
+
+# The end-to-end benchmark's trajectory: all four workloads at --trace 0
+# and --trace 1 (seed 1, BENCHMARK.json's run_seconds each), appended as
+# one entry to BENCH_e2e.json.
+bench-e2e:
+	python3 scripts/bench_e2e.py
 
 report:
 	python -m repro.cli reproduce -o REPORT.txt

@@ -1,34 +1,40 @@
-"""Optional native (C) backend for the compiled engine's relaxation loop.
+"""Optional native (C) backend of the compiled engine: one call per chunk.
 
-The windowed relaxation of :class:`~repro.circuit.program.BitwiseProgram`
-is pure integer/bitwise arithmetic, but the numpy implementation still
-pays one Python/numpy dispatch per (step, class-group) — several hundred
-small vector calls per chunk, which caps the compiled engine's speedup.
-This module lowers exactly that loop into a single C function: a generic
+The compiled engine's chunk work — zero-delay settle, windowed unit-delay
+relaxation and the capacitance-weighted charge reduction — is pure
+integer/bitwise arithmetic plus one fixed-order float sum, but in numpy
+it costs one Python dispatch per (level, class) instruction and per
+(step, class group), which caps the engine's speed.  This module lowers
+the whole chunk into a single C entry, ``repro_chunk``: a generic
 interpreter over the program's relax tables (class codes, pin-row
-triples, per-gate inversion flags, per-step window starts), so one
-netlist-independent shared object serves every module.
+triples, per-gate inversion flags, per-level window starts), so one
+netlist-independent shared object serves every module.  ``repro_relax``
+exposes the relaxation alone, for callers that need the toggle planes
+themselves (the hotspot report, the glitch-weighted accounting).
 
 Design constraints:
 
-* **Bit-identical by construction.**  The kernel performs the same
-  staged evaluation, XOR diff, and ripple-carry plane fold as the numpy
-  path, in the same order, entirely in ``uint64`` integer arithmetic —
-  there is no floating point and therefore no rounding freedom.  The
-  parity tests compare both paths directly.
+* **Bit-identical by construction.**  Settle, relax and the plane fold
+  run the same staged evaluation, XOR diff and ripple-carry fold as the
+  numpy path, in ``uint64`` integer arithmetic.  The charge reduction
+  follows the one float contract every engine shares
+  (:func:`repro.circuit.power.net_order_charge`): per lane, multiply each
+  net's capacitance by its toggle count, then add in ascending net
+  order.  The library is built with ``-ffp-contract=off``, so the
+  compiler may vectorize across lanes but never fuses the multiply into
+  the add.
 * **Optional, never required.**  The C source is embedded here,
   compiled on first use with the system compiler (``$CC``, ``cc``,
-  ``gcc`` or ``clang``) into a user-cache shared object keyed by a
-  source hash, and loaded with :mod:`ctypes` — no build-time step, no
-  new dependencies.  Any failure (no compiler, sandboxed filesystem,
-  odd libc) degrades silently to the numpy path, as does setting
-  ``REPRO_NATIVE=0``.  ``native_status()`` reports which path is live.
-* **Small surface.**  Only the relaxation inner loop is native; settle,
-  decode and the shared charge accounting stay in numpy where the
-  engine-parity contract is enforced.
-
-The instruction tape was designed as the seam for alternative backends;
-this is the first one.
+  ``gcc`` or ``clang``) into a user-cache shared object named by a hash
+  of the source, the flags and the compiler, and loaded with
+  :mod:`ctypes` — no build-time step, no new dependencies.  Any failure
+  (no compiler, sandboxed filesystem, odd libc) degrades silently to the
+  numpy path, as does setting ``REPRO_NATIVE=0``.  ``native_status()``
+  reports which path is live.
+* **No marshalling in the loop.**  :class:`ChunkKernel` binds the call
+  once per (simulator, program): table, capacitance and grow-only work
+  buffer addresses are plain ``ctypes.c_void_p`` values it holds (with
+  a reference to every buffer), so a chunk pays one foreign call.
 """
 
 from __future__ import annotations
@@ -40,16 +46,20 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import numpy.ctypeslib as npct
 
+from ..obs.events import EVENTS
+from .packed import WORD_BITS
+
 __all__ = [
+    "CFLAGS",
     "CLASS_CODES",
+    "ChunkKernel",
     "NativeTables",
-    "decode_native",
-    "native_decode",
+    "library_path",
     "native_kernel",
     "native_status",
     "relax_native",
@@ -59,10 +69,103 @@ __all__ = [
 #: Canonical class name -> kernel switch code (must match the C source).
 CLASS_CODES = {"AND": 0, "XOR": 1, "MAJ": 2, "MUX": 3, "AOI": 4}
 
+#: Compiler flags of the shared object.  ``-O3`` vectorizes the charge
+#: reduction across lanes; ``-ffp-contract=off`` forbids fusing its
+#: multiply and add into an FMA (which aarch64 compilers do by default),
+#: keeping the sum bit-identical to the numpy reducer.
+CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
 _SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
+
+/* Relax tables of one program (see NativeTables). */
+typedef struct {
+    const int32_t *in_rows;     /* pin-major [3, size] per group     */
+    const uint8_t *flags;       /* per gate: bits 0-2 pin inversion,
+                                   bit 3 output inversion            */
+    const int32_t *group_class; /* [n_groups] CLASS_CODES            */
+    const int32_t *group_base;  /* [n_groups] first block row        */
+    const int32_t *group_size;  /* [n_groups] gates in block         */
+    const int32_t *group_off;   /* [n_groups] gate offset into
+                                   flags / in_rows                   */
+    const int32_t *level_first; /* [n_groups, depth + 2]: first block
+                                   position at level >= t            */
+    int32_t n_groups;
+    int32_t depth;
+} tables_t;
+
+/* Evaluate block positions [lo, hi) of group g, reading operand rows of
+ * `src` and writing output rows of `dst`. */
+static void eval_gates(const tables_t *tb, int32_t g, int32_t lo,
+                       int32_t hi, const uint64_t *src, uint64_t *dst,
+                       int64_t n_words)
+{
+    int32_t size = tb->group_size[g];
+    int32_t base = tb->group_base[g];
+    int32_t off = tb->group_off[g];
+    int32_t cls = tb->group_class[g];
+    const int32_t *pa = tb->in_rows + (int64_t)3 * off;
+    const int32_t *pb = pa + size;
+    const int32_t *pc = pb + size;
+    for (int32_t i = lo; i < hi; i++) {
+        const uint64_t *xa = src + (int64_t)pa[i] * n_words;
+        const uint64_t *xb = src + (int64_t)pb[i] * n_words;
+        const uint64_t *xc = src + (int64_t)pc[i] * n_words;
+        uint64_t *out = dst + (int64_t)(base + i) * n_words;
+        uint8_t f = tb->flags[off + i];
+        uint64_t ia = (f & 1) ? ~(uint64_t)0 : 0;
+        uint64_t ib = (f & 2) ? ~(uint64_t)0 : 0;
+        uint64_t ic = (f & 4) ? ~(uint64_t)0 : 0;
+        uint64_t io = (f & 8) ? ~(uint64_t)0 : 0;
+        switch (cls) {
+        case 0: /* AND */
+            for (int64_t w = 0; w < n_words; w++)
+                out[w] = (((xa[w] ^ ia) & (xb[w] ^ ib)) & (xc[w] ^ ic)) ^ io;
+            break;
+        case 1: /* XOR: input inversions fold into io */
+            for (int64_t w = 0; w < n_words; w++)
+                out[w] = (xa[w] ^ xb[w] ^ xc[w]) ^ io;
+            break;
+        case 2: /* MAJ */
+            for (int64_t w = 0; w < n_words; w++) {
+                uint64_t a = xa[w], b = xb[w], c = xc[w];
+                out[w] = ((a & (b | c)) | (b & c)) ^ io;
+            }
+            break;
+        case 3: /* MUX, pins (sel, a, b) */
+            for (int64_t w = 0; w < n_words; w++) {
+                uint64_t s = xa[w], a = xb[w], b = xc[w];
+                out[w] = (a ^ ((a ^ b) & s)) ^ io;
+            }
+            break;
+        case 4: /* AOI */
+            for (int64_t w = 0; w < n_words; w++)
+                out[w] = (((xa[w] ^ ia) & (xb[w] ^ ib)) | (xc[w] ^ ic)) ^ io;
+            break;
+        }
+    }
+}
+
+/* Zero-delay settle: every level in ascending order, in place.  A gate
+ * reads only rows of lower levels, so the gates of one level may write
+ * `values` while their level is evaluated. */
+static void settle(const tables_t *tb, uint64_t *values, int64_t n_words)
+{
+    for (int32_t lvl = 0; lvl <= tb->depth; lvl++) {
+        for (int32_t g = 0; g < tb->n_groups; g++) {
+            const int32_t *lf = tb->level_first
+                + (int64_t)g * (tb->depth + 2);
+            if (lf[lvl] < lf[lvl + 1])
+                eval_gates(tb, g, lf[lvl], lf[lvl + 1], values, values,
+                           n_words);
+        }
+    }
+}
 
 /* Windowed-synchronous unit-delay relaxation over packed uint64 lanes.
+ * Word w of plane p of row r lives at planes[r * row_stride +
+ * p * plane_stride + w].
  *
  * Mirrors BitwiseProgram.relax() exactly: at step t every class group
  * evaluates its level >= t suffix against the step t-1 snapshot (reads
@@ -72,97 +175,38 @@ _SOURCE = r"""
  * a row's count after step t is at most t, so deeper carries are
  * provably zero.  Returns the last step with a change.
  */
-int32_t repro_relax(
-    uint64_t *values,           /* [R, W], updated in place          */
-    uint64_t *scratch,          /* [R, W] staging buffer             */
-    uint64_t *planes,           /* [MAXP, R, W], zero-initialized    */
-    int32_t *n_planes_io,       /* in/out: planes in use             */
-    const int32_t *in_rows,     /* pin-major [3, size] per group     */
-    const uint8_t *flags,       /* per gate: bits 0-2 pin inversion,
-                                   bit 3 output inversion            */
-    const int32_t *group_class, /* [n_groups] CLASS_CODES            */
-    const int32_t *group_base,  /* [n_groups] first block row        */
-    const int32_t *group_size,  /* [n_groups] gates in block         */
-    const int32_t *group_off,   /* [n_groups] gate offset into
-                                   flags / in_rows                   */
-    const int32_t *level_first, /* [n_groups, depth + 2] window
-                                   starts                            */
-    int32_t n_groups,
-    int32_t depth,
-    int64_t n_rows,
-    int64_t n_words,
-    int64_t *evals_out)
+static int32_t relax(const tables_t *tb, uint64_t *values,
+                     uint64_t *scratch, uint64_t *planes,
+                     int64_t row_stride, int64_t plane_stride,
+                     int32_t *n_planes_io, int64_t n_words,
+                     int64_t *evals_out)
 {
     int32_t n_planes = *n_planes_io;
+    int32_t depth = tb->depth;
     int64_t evals = 0;
     int32_t steps = 0;
     for (int32_t t = 1; t <= depth; t++) {
         int changed = 0;
-        /* Stage phase: evaluate every active suffix against the step
-         * t-1 snapshot.  Nothing in `values` is written here, so the
+        /* Stage phase: nothing in `values` is written here, so the
          * snapshot semantics match the numpy path exactly. */
-        for (int32_t g = 0; g < n_groups; g++) {
-            int32_t size = group_size[g];
-            int32_t k = level_first[(int64_t)g * (depth + 2) + t];
+        for (int32_t g = 0; g < tb->n_groups; g++) {
+            int32_t size = tb->group_size[g];
+            int32_t k = tb->level_first[(int64_t)g * (depth + 2) + t];
             if (k >= size)
                 continue;
             evals++;
-            int32_t base = group_base[g];
-            int32_t off = group_off[g];
-            int32_t cls = group_class[g];
-            const int32_t *pa = in_rows + (int64_t)3 * off;
-            const int32_t *pb = pa + size;
-            const int32_t *pc = pb + size;
-            for (int32_t i = k; i < size; i++) {
-                const uint64_t *xa = values + (int64_t)pa[i] * n_words;
-                const uint64_t *xb = values + (int64_t)pb[i] * n_words;
-                const uint64_t *xc = values + (int64_t)pc[i] * n_words;
-                uint64_t *out = scratch + (int64_t)(base + i) * n_words;
-                uint8_t f = flags[off + i];
-                uint64_t ia = (f & 1) ? ~(uint64_t)0 : 0;
-                uint64_t ib = (f & 2) ? ~(uint64_t)0 : 0;
-                uint64_t ic = (f & 4) ? ~(uint64_t)0 : 0;
-                uint64_t io = (f & 8) ? ~(uint64_t)0 : 0;
-                switch (cls) {
-                case 0: /* AND */
-                    for (int64_t w = 0; w < n_words; w++)
-                        out[w] = (((xa[w] ^ ia) & (xb[w] ^ ib))
-                                  & (xc[w] ^ ic)) ^ io;
-                    break;
-                case 1: /* XOR: input inversions fold into io */
-                    for (int64_t w = 0; w < n_words; w++)
-                        out[w] = (xa[w] ^ xb[w] ^ xc[w]) ^ io;
-                    break;
-                case 2: /* MAJ */
-                    for (int64_t w = 0; w < n_words; w++) {
-                        uint64_t a = xa[w], b = xb[w], c = xc[w];
-                        out[w] = ((a & (b | c)) | (b & c)) ^ io;
-                    }
-                    break;
-                case 3: /* MUX, pins (sel, a, b) */
-                    for (int64_t w = 0; w < n_words; w++) {
-                        uint64_t s = xa[w], a = xb[w], b = xc[w];
-                        out[w] = (a ^ ((a ^ b) & s)) ^ io;
-                    }
-                    break;
-                case 4: /* AOI */
-                    for (int64_t w = 0; w < n_words; w++)
-                        out[w] = (((xa[w] ^ ia) & (xb[w] ^ ib))
-                                  | (xc[w] ^ ic)) ^ io;
-                    break;
-                }
-            }
+            eval_gates(tb, g, k, size, values, scratch, n_words);
         }
         /* Write phase: diff, fold toggles, commit. */
         int32_t bound = 0;
         for (int32_t x = t; x; x >>= 1)
             bound++;
-        for (int32_t g = 0; g < n_groups; g++) {
-            int32_t size = group_size[g];
-            int32_t k = level_first[(int64_t)g * (depth + 2) + t];
+        for (int32_t g = 0; g < tb->n_groups; g++) {
+            int32_t size = tb->group_size[g];
+            int32_t k = tb->level_first[(int64_t)g * (depth + 2) + t];
             if (k >= size)
                 continue;
-            int32_t base = group_base[g];
+            int32_t base = tb->group_base[g];
             for (int32_t i = k; i < size; i++) {
                 int64_t row = base + i;
                 uint64_t *v = values + row * n_words;
@@ -175,8 +219,8 @@ int32_t repro_relax(
                     v[w] = nv[w];
                     uint64_t carry = d;
                     for (int32_t p = 0; p < bound && carry; p++) {
-                        uint64_t *pp = planes
-                            + ((int64_t)p * n_rows + row) * n_words + w;
+                        uint64_t *pp = planes + row * row_stride
+                            + p * plane_stride + w;
                         uint64_t nc = *pp & carry;
                         *pp ^= carry;
                         carry = nc;
@@ -195,74 +239,151 @@ int32_t repro_relax(
     return steps;
 }
 
-/* Fused toggle-plane decode: bit-sliced planes (program-row order) to a
- * dense float64 count matrix in *net* order, plus per-lane uint32
- * totals, in one pass.  Decodes the n_lanes lanes starting at word
- * word0 of each plane row, so a caller can walk a chunk in fixed lane
- * blocks through one small output buffer.  Counts are small integers
- * (< 2^n_planes <= 256) so the float64 stores are exact -- the matrix
- * holds bit-for-bit the same values as toggles.astype(float64) on the
- * numpy path, and the BLAS charge accounting downstream stays
- * verbatim-identical.  Eight
- * lanes decode per LUT step (one byte of the packed word spreads to
- * eight count bytes; with n_planes <= 8 the per-byte accumulator cannot
- * carry across lanes). */
-void repro_decode(
-    const uint64_t *planes,    /* [n_planes, n_rows, n_words]        */
-    int32_t n_planes,
-    int64_t n_rows,
-    int64_t n_words,
-    int64_t word0,             /* first decoded word of each row     */
-    const int64_t *row_of_net, /* [n_nets] net -> program row        */
-    int64_t n_nets,
-    int64_t n_lanes,           /* lanes decoded, from word0 on       */
-    double *out,               /* [n_nets, n_lanes]                  */
-    uint32_t *totals)          /* [n_lanes]                          */
+/* Eight one-bit lanes of a byte spread to eight 0/1 bytes (bit j of
+ * `byte` becomes byte j). */
+static inline uint64_t spread8(uint64_t byte)
 {
-    static int lut_built = 0;
-    static uint64_t LUT[256];
-    if (!lut_built) {
-        for (int v = 0; v < 256; v++) {
-            uint64_t x = 0;
-            for (int b = 0; b < 8; b++)
-                if (v & (1 << b))
-                    x |= (uint64_t)1 << (8 * b);
-            LUT[v] = x;
-        }
-        lut_built = 1;
-    }
-    for (int64_t l = 0; l < n_lanes; l++)
+    return ((((byte * 0x0101010101010101ULL) & 0x8040201008040201ULL)
+             + 0x7F7F7F7F7F7F7F7FULL) >> 7) & 0x0101010101010101ULL;
+}
+
+/* Per-lane charge and toggle totals straight from the toggle planes:
+ * charge[l] = sum over nets, in ascending net order, of
+ * caps[net] * count[net, l] -- multiply, then add (the library is built
+ * with -ffp-contract=off).  A word whose planes are all zero is skipped:
+ * adding caps * 0 = +0.0 leaves a non-negative sum unchanged.  Counts
+ * are formed eight lanes at a time, one byte per lane (exact while
+ * n_planes <= 8, i.e. counts < 256); deeper programs take a per-lane
+ * loop. */
+static void reduce_charge(const uint64_t *planes, int32_t n_planes,
+                          int64_t row_stride, int64_t plane_stride,
+                          int64_t n_words,
+                          const int64_t *row_of_net, const double *caps,
+                          int64_t n_nets, double *restrict charge,
+                          uint32_t *restrict totals)
+{
+    for (int64_t l = 0; l < 64 * n_words; l++) {
+        charge[l] = 0.0;
         totals[l] = 0;
-    int64_t plane_stride = n_rows * n_words;
+    }
     for (int64_t net = 0; net < n_nets; net++) {
-        int64_t row = row_of_net[net];
-        double *dst = out + net * n_lanes;
-        const uint64_t *pr = planes + row * n_words + word0;
-        for (int64_t w = 0; w < n_words - word0; w++) {
-            int64_t lane0 = w * 64;
-            int64_t nl = n_lanes - lane0;
-            if (nl <= 0)
-                break;
-            if (nl > 64)
-                nl = 64;
+        const uint64_t *pr = planes + row_of_net[net] * row_stride;
+        double cap = caps[net];
+        for (int64_t w = 0; w < n_words; w++) {
+            double *restrict ch = charge + 64 * w;
+            uint32_t *restrict tot = totals + 64 * w;
+            uint64_t any = 0;
+            for (int32_t p = 0; p < n_planes; p++)
+                any |= pr[p * plane_stride + w];
+            if (!any)
+                continue;
+            if (n_planes > 8) {
+                for (int32_t j = 0; j < 64; j++) {
+                    uint32_t c = 0;
+                    for (int32_t p = 0; p < n_planes; p++)
+                        c |= (uint32_t)((pr[p * plane_stride + w] >> j) & 1)
+                             << p;
+                    ch[j] += cap * (double)c;
+                    tot[j] += c;
+                }
+                continue;
+            }
             uint64_t pw[8];
             for (int32_t p = 0; p < n_planes; p++)
-                pw[p] = pr[(int64_t)p * plane_stride + w];
-            for (int64_t b8 = 0; b8 < nl; b8 += 8) {
+                pw[p] = pr[p * plane_stride + w];
+            uint8_t cnt[64];
+            for (int32_t b = 0; b < 8; b++) {
                 uint64_t acc = 0;
                 for (int32_t p = 0; p < n_planes; p++)
-                    acc += LUT[(pw[p] >> b8) & 0xFF] << p;
-                int64_t lim = nl - b8;
-                if (lim > 8)
-                    lim = 8;
-                for (int64_t j = 0; j < lim; j++) {
-                    uint32_t c = (uint32_t)((acc >> (8 * j)) & 0xFF);
-                    dst[lane0 + b8 + j] = (double)c;
-                    totals[lane0 + b8 + j] += c;
-                }
+                    acc += spread8((pw[p] >> (8 * b)) & 0xFF) << p;
+                memcpy(cnt + 8 * b, &acc, 8); /* little-endian lanes */
+            }
+            for (int32_t j = 0; j < 64; j++) {
+                ch[j] += cap * (double)cnt[j];
+                tot[j] += cnt[j];
             }
         }
     }
+}
+
+int32_t repro_relax(
+    uint64_t *values,           /* [R, W], updated in place          */
+    uint64_t *scratch,          /* [R, W] staging buffer             */
+    uint64_t *planes,           /* [MAXP, R, W], zero-initialized    */
+    int32_t *n_planes_io,       /* in/out: planes in use             */
+    const int32_t *in_rows, const uint8_t *flags,
+    const int32_t *group_class, const int32_t *group_base,
+    const int32_t *group_size, const int32_t *group_off,
+    const int32_t *level_first, int32_t n_groups, int32_t depth,
+    int64_t n_rows,
+    int64_t n_words,
+    int64_t *evals_out)
+{
+    tables_t tb = {in_rows, flags, group_class, group_base, group_size,
+                   group_off, level_first, n_groups, depth};
+    return relax(&tb, values, scratch, planes, n_words, n_rows * n_words,
+                 n_planes_io, n_words, evals_out);
+}
+
+/* One simulation chunk: settle the old vectors, apply the new ones,
+ * relax, and reduce the toggle planes to per-lane charge and totals.
+ * Lanes beyond the stream are zero in both input matrices, so they
+ * never toggle.  The planes are row-major, [R, max_planes, W], so the
+ * reduction reads each net's planes from one block; they must be zero
+ * on entry and are zero again on return.  Returns the relaxation steps
+ * taken. */
+int32_t repro_chunk(
+    const uint64_t *old_in,     /* [n_inputs, W] packed old vectors  */
+    const uint64_t *new_in,     /* [n_inputs, W] packed new vectors  */
+    int64_t n_words,
+    uint64_t *values,           /* [R, W] work buffer                */
+    uint64_t *scratch,          /* [R, W] staging buffer             */
+    uint64_t *planes,           /* [R, max_planes, W] toggle planes  */
+    double *charge,             /* [64 W] out: per-lane charge       */
+    uint32_t *totals,           /* [64 W] out: per-lane toggles      */
+    int64_t *evals_out,
+    const int32_t *in_rows, const uint8_t *flags,
+    const int32_t *group_class, const int32_t *group_base,
+    const int32_t *group_size, const int32_t *group_off,
+    const int32_t *level_first, int32_t n_groups, int32_t depth,
+    const int64_t *row_of_net,  /* [n_nets] net -> program row       */
+    const double *caps,         /* [n_nets] switched capacitance     */
+    int64_t n_nets,
+    int64_t n_inputs,
+    int64_t n_rows,
+    int32_t max_planes)
+{
+    tables_t tb = {in_rows, flags, group_class, group_base, group_size,
+                   group_off, level_first, n_groups, depth};
+    int64_t row_stride = (int64_t)max_planes * n_words;
+    int64_t in_words = n_inputs * n_words;
+    uint64_t *in_values = values + 2 * n_words;
+    memset(values, 0, (size_t)n_words * sizeof(uint64_t));
+    memset(values + n_words, 0xFF, (size_t)n_words * sizeof(uint64_t));
+    memcpy(in_values, old_in, (size_t)in_words * sizeof(uint64_t));
+    settle(&tb, values, n_words);
+    uint64_t moved = 0;
+    for (int64_t i = 0; i < n_inputs; i++) {
+        uint64_t *in_plane = planes + (2 + i) * row_stride;
+        for (int64_t w = 0; w < n_words; w++) {
+            uint64_t d = old_in[i * n_words + w] ^ new_in[i * n_words + w];
+            in_plane[w] = d;
+            moved |= d;
+        }
+    }
+    memcpy(in_values, new_in, (size_t)in_words * sizeof(uint64_t));
+    int32_t n_planes = 1;
+    int32_t steps = 0;
+    *evals_out = 0;
+    if (moved)
+        steps = relax(&tb, values, scratch, planes, row_stride, n_words,
+                      &n_planes, n_words, evals_out);
+    reduce_charge(planes, n_planes, row_stride, n_words, n_words,
+                  row_of_net, caps, n_nets, charge, totals);
+    for (int64_t r = 0; r < n_rows; r++)
+        memset(planes + r * row_stride, 0,
+               (size_t)n_planes * n_words * sizeof(uint64_t));
+    return steps;
 }
 """
 
@@ -279,7 +400,7 @@ def _cache_dir() -> Path:
 def _compiler() -> Optional[str]:
     cc = os.environ.get("CC")
     if cc and shutil.which(cc):
-        return cc
+        return shutil.which(cc)
     for name in ("cc", "gcc", "clang"):
         path = shutil.which(name)
         if path:
@@ -287,24 +408,35 @@ def _compiler() -> Optional[str]:
     return None
 
 
+def library_path(cc: str, flags: Tuple[str, ...] = CFLAGS) -> Path:
+    """Cache path of the shared object built by ``cc`` with ``flags``.
+
+    The name hashes the source, the flags and the compiler path, so a
+    change to any of them builds a fresh object instead of reusing one
+    compiled another way.
+    """
+    key = "\0".join((_SOURCE, *flags, cc))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return _cache_dir() / f"relax-{digest}.so"
+
+
 def _build_library() -> Optional[Path]:
     """Compile (or reuse) the cached shared object; None on any failure."""
     cc = _compiler()
     if cc is None:
         return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = cache / f"relax-{digest}.so"
+    so_path = library_path(cc)
     if so_path.exists():
         return so_path
     try:
+        cache = so_path.parent
         cache.mkdir(parents=True, exist_ok=True)
-        src_path = cache / f"relax-{digest}.c"
+        src_path = so_path.with_suffix(".c")
         src_path.write_text(_SOURCE)
         fd, tmp_name = tempfile.mkstemp(suffix=".so", dir=str(cache))
         os.close(fd)
         subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp_name, str(src_path)],
+            [cc, *CFLAGS, "-o", tmp_name, str(src_path)],
             check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp_name, so_path)  # atomic w.r.t. concurrent builders
@@ -315,14 +447,13 @@ def _build_library() -> Optional[Path]:
 
 _I32 = npct.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _U8 = npct.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-_U32 = npct.ndpointer(np.uint32, flags="C_CONTIGUOUS")
 _U64 = npct.ndpointer(np.uint64, flags="C_CONTIGUOUS")
 _I64 = npct.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_F64 = npct.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_PTR = ctypes.c_void_p
 
 #: Lazy singletons: False = not resolved yet, None = unavailable.
 _KERNEL = False
-_DECODE = False
+_CHUNK = False
 _STATUS = "unresolved"
 #: Programmatic gate override: None defers to $REPRO_NATIVE, True/False wins.
 _FORCED: Optional[bool] = None
@@ -361,48 +492,40 @@ def native_kernel():
     Resolution (compiler lookup, compile, dlopen) runs once per process
     and is cached; the ``REPRO_NATIVE`` / :func:`set_native_enabled`
     gate is re-evaluated on every call (``0``/``false``/``off``
-    disables).
+    disables).  The chunk entry resolves with it and is live exactly
+    when this returns a function.
     """
-    global _KERNEL, _DECODE, _STATUS
+    global _KERNEL, _CHUNK, _STATUS
     if _gate_disabled():
         return None
     if _KERNEL is not False:
         return _KERNEL
     so_path = _build_library()
     if so_path is None:
-        _KERNEL, _DECODE, _STATUS = None, None, "no compiler or build failed"
+        _KERNEL, _CHUNK, _STATUS = None, None, "no compiler or build failed"
         return None
+    tables = [_I32, _U8, _I32, _I32, _I32, _I32, _I32,
+              ctypes.c_int32, ctypes.c_int32]
     try:
         lib = ctypes.CDLL(str(so_path))
         fn = lib.repro_relax
-        fn.argtypes = [
-            _U64, _U64, _U64, _I32,
-            _I32, _U8, _I32, _I32, _I32, _I32, _I32,
-            ctypes.c_int32, ctypes.c_int32,
-            ctypes.c_int64, ctypes.c_int64,
-            _I64,
-        ]
+        fn.argtypes = [_U64, _U64, _U64, _I32, *tables,
+                       ctypes.c_int64, ctypes.c_int64, _I64]
         fn.restype = ctypes.c_int32
-        dec = lib.repro_decode
-        dec.argtypes = [
-            _U64, ctypes.c_int32,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            _I64, ctypes.c_int64, ctypes.c_int64,
-            _F64, _U32,
+        chunk = lib.repro_chunk
+        chunk.argtypes = [
+            _PTR, _PTR, ctypes.c_int64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+            _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+            ctypes.c_int32, ctypes.c_int32,
+            _PTR, _PTR, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int32,
         ]
-        dec.restype = None
+        chunk.restype = ctypes.c_int32
     except (OSError, AttributeError):
-        _KERNEL, _DECODE, _STATUS = None, None, f"failed to load {so_path}"
+        _KERNEL, _CHUNK, _STATUS = None, None, f"failed to load {so_path}"
         return None
-    _KERNEL, _DECODE, _STATUS = fn, dec, f"native ({so_path})"
+    _KERNEL, _CHUNK, _STATUS = fn, chunk, f"native ({so_path})"
     return fn
-
-
-def native_decode():
-    """The loaded C decode function, or ``None`` (same gating as relax)."""
-    if native_kernel() is None:
-        return None
-    return _DECODE
 
 
 def native_status() -> str:
@@ -462,6 +585,13 @@ class NativeTables:
             [g.level_first for g in groups], dtype=np.int32
         ).reshape(self.n_groups, self.depth + 2)
 
+    def arrays(self):
+        """The table arrays in the kernels' argument order."""
+        return (
+            self.in_rows, self.flags, self.group_class, self.group_base,
+            self.group_size, self.group_off, self.level_first,
+        )
+
 
 def native_tables(program) -> Optional[NativeTables]:
     """Tables for ``program``, or ``None`` when the native path can't run.
@@ -500,9 +630,7 @@ def relax_native(
     evals_out = np.zeros(1, dtype=np.int64)
     steps = fn(
         values, scratch, planes.reshape(-1), n_planes_io,
-        tables.in_rows, tables.flags, tables.group_class,
-        tables.group_base, tables.group_size, tables.group_off,
-        tables.level_first.reshape(-1),
+        *tables.arrays(),
         np.int32(tables.n_groups), np.int32(tables.depth),
         np.int64(n_rows), np.int64(n_words),
         evals_out,
@@ -510,34 +638,78 @@ def relax_native(
     return int(steps), int(evals_out[0]), int(n_planes_io[0])
 
 
-def decode_native(
-    planes: np.ndarray,
-    row_of_net: np.ndarray,
-    n_lanes: int,
-    out: np.ndarray,
-    totals: np.ndarray,
-    word_offset: int = 0,
-) -> None:
-    """Fused plane decode into preallocated ``float64``/``uint32`` buffers.
+def _address(array: np.ndarray) -> ctypes.c_void_p:
+    return ctypes.c_void_p(array.ctypes.data)
 
-    ``planes`` is the contiguous ``[n_planes, R, W]`` in-use slice of the
-    relax plane buffer (program-row order).  The ``n_lanes`` lanes from
-    word ``word_offset`` on are decoded: ``out[net, lane]`` receives the
-    exact integer toggle count as float64 and ``totals[lane]`` the
-    per-lane sum.  Requires ``n_planes <= 8`` (counts < 256) — callers
-    fall back to the numpy decode beyond that.
+
+class ChunkKernel:
+    """``repro_chunk`` bound to one program and its net capacitances.
+
+    Holds the table, ``row_of_net`` and capacitance arrays plus grow-only
+    work buffers (values, staging, toggle planes, per-lane charge and
+    totals), each referenced here for as long as the C call holds its
+    address.  Buffers grow to the widest chunk seen and are reused below
+    it; the plane buffer stays zero between calls.
     """
-    fn = native_decode()
-    n_planes, n_rows, n_words = planes.shape
-    if not 0 <= word_offset or n_lanes > 64 * (n_words - word_offset):
-        raise ValueError(
-            f"{n_lanes} lanes from word {word_offset} exceed {n_words} words"
+
+    def __init__(self, program, tables: NativeTables, caps: np.ndarray):
+        self._n_rows = program.n_rows
+        self._n_inputs = program.n_inputs
+        self._max_planes = program.max_planes
+        row_of_net = np.ascontiguousarray(program.row_of_net, dtype=np.int64)
+        caps = np.ascontiguousarray(caps, dtype=np.float64)
+        self._evals = np.zeros(1, dtype=np.int64)
+        self._keep = (tables, row_of_net, caps)
+        self._tail = (
+            _address(self._evals),
+            *(_address(a) for a in tables.arrays()),
+            tables.n_groups, tables.depth,
+            _address(row_of_net), _address(caps),
+            len(caps), program.n_inputs, program.n_rows, program.max_planes,
         )
-    if out.shape != (len(row_of_net), n_lanes) or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous [n_nets, n_lanes] array")
-    fn(
-        planes.reshape(-1), np.int32(n_planes),
-        np.int64(n_rows), np.int64(n_words), np.int64(word_offset),
-        row_of_net, np.int64(len(row_of_net)), np.int64(n_lanes),
-        out.reshape(-1), totals,
-    )
+        self._words = 0
+        self._grow(1)
+
+    def _grow(self, n_words: int) -> None:
+        cells = self._n_rows * n_words
+        self._values = np.empty(cells, dtype=np.uint64)
+        self._scratch = np.empty(cells, dtype=np.uint64)
+        self._planes = np.zeros(self._max_planes * cells, dtype=np.uint64)
+        self._charge = np.empty(WORD_BITS * n_words, dtype=np.float64)
+        self._totals = np.empty(WORD_BITS * n_words, dtype=np.uint32)
+        self._head = tuple(_address(a) for a in (
+            self._values, self._scratch, self._planes, self._charge,
+            self._totals,
+        ))
+        self._words = n_words
+
+    def run(
+        self, old_packed: np.ndarray, new_packed: np.ndarray, n_lanes: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Charge and toggle totals of one chunk, as ``[n_lanes]`` views.
+
+        ``old_packed``/``new_packed`` are the chunk's packed
+        ``[n_inputs, n_words]`` vectors.  The views are overwritten by
+        the next call.
+        """
+        old_packed = np.ascontiguousarray(old_packed, dtype=np.uint64)
+        new_packed = np.ascontiguousarray(new_packed, dtype=np.uint64)
+        n_words = old_packed.shape[1]
+        if (old_packed.shape != (self._n_inputs, n_words)
+                or new_packed.shape != old_packed.shape
+                or not 0 < n_lanes <= WORD_BITS * n_words):
+            raise ValueError(
+                f"expected two [{self._n_inputs}, n_words] packed inputs "
+                f"holding {n_lanes} lanes, got {old_packed.shape} and "
+                f"{new_packed.shape}"
+            )
+        if n_words > self._words:
+            self._grow(n_words)
+        steps = _CHUNK(
+            old_packed.ctypes.data, new_packed.ctypes.data, n_words,
+            *self._head, *self._tail,
+        )
+        EVENTS.program_steps.inc(steps)
+        EVENTS.program_evals.inc(int(self._evals[0]))
+        return self._charge[:n_lanes], self._totals[:n_lanes]
+

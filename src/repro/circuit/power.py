@@ -20,18 +20,20 @@ Two interchangeable kernels produce the trace (see docs/SIMULATION.md):
 * ``engine="auto"`` (default) — compiled for streams long enough to fill
   words, boolean otherwise (and on hosts without packed lanes).
 
-Bit-for-bit parity between the engines is the contract: both feed the
-*identical* toggle counts (in net order) into the identical charge
-accounting, so ``PowerTrace.charge`` and ``total_toggles`` match exactly,
-not just to tolerance.  The parity suite in
-``tests/circuit/test_program.py`` enforces this across every registered
-module kind.
+Bit-for-bit parity between the engines is the contract: both produce the
+*identical* toggle counts, and every charge path sums them in one fixed
+order (:func:`net_order_charge`: per transition, capacitance times count,
+added in ascending net order), so ``PowerTrace.charge`` and
+``total_toggles`` match exactly, not just to tolerance, whatever the
+chunking.  The parity suite in ``tests/circuit/test_program.py``
+enforces this across every registered module kind.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -40,15 +42,8 @@ from ..obs.events import EVENTS
 from ..obs.tracing import span
 from .compiled import CompiledNetlist
 from .netlist import Netlist
-from .packed import (
-    PACKED_AVAILABLE,
-    extract_lane,
-    inject_lane,
-    n_words_for,
-    pack_lanes,
-    unpack_lanes,
-)
-from .native import decode_native, native_decode, native_tables
+from .native import ChunkKernel, native_kernel, native_tables
+from .packed import PACKED_AVAILABLE, n_words_for, pack_lanes, unpack_lanes
 from .program import compile_program, decode_planes
 from .simulate import functional_values, unit_delay_transition, zero_delay_toggles
 
@@ -56,9 +51,8 @@ from .simulate import functional_values, unit_delay_transition, zero_delay_toggl
 ENGINES = ("auto", "bool", "compiled")
 
 #: Default chunk size (transitions per vectorized batch), shared by both
-#: engines: identical chunk boundaries make default-configured engines
-#: bit-identical in ``charge`` too, not just in toggles (float summation
-#: order matches chunk by chunk).
+#: engines.  Charge does not depend on it: every transition sums its own
+#: nets in a fixed order.
 DEFAULT_CHUNK = 2048
 
 #: Streams shorter than this gain nothing from packing (the pack/unpack
@@ -66,11 +60,9 @@ DEFAULT_CHUNK = 2048
 #: keeps them on the boolean engine.
 AUTO_PACKED_MIN_CYCLES = 64
 
-#: Lanes per block of the compiled engine's fused decode + dgemv (a
-#: multiple of 64, i.e. whole lane words).  Each block decodes into one
-#: per-simulator ``[n_nets, FUSED_BLOCK_LANES]`` float64 buffer, so the
-#: dense count matrix never scales with the chunk length.
-FUSED_BLOCK_LANES = 256
+#: Elements of one block of :func:`net_order_charge`'s products, which
+#: bounds its temporary memory whatever the chunk length.
+REDUCE_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,6 +107,35 @@ class PowerTrace:
     @property
     def total_charge(self) -> float:
         return float(self.charge.sum())
+
+
+def net_order_charge(caps: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-transition charge: ``sum(caps[net] * counts[net, l])``.
+
+    The one charge contract of every engine: for each transition ``l``,
+    multiply each net's capacitance by its count, then add the products
+    in ascending net order.  The native kernel sums the same way, so
+    charge is bit-identical across engines and independent of chunking.
+    ``np.add.accumulate`` along the net axis is strictly sequential;
+    ``@`` (BLAS) and ``.sum`` (pairwise) are not and must not be used
+    here.  Nets go in blocks, carrying the running sum from block to
+    block, so the float64 products never exceed
+    :data:`REDUCE_BLOCK_ELEMENTS`.
+
+    Args:
+        caps: ``[n_nets]`` float64 capacitances.
+        counts: ``[n_nets, n_lanes]`` counts (any integer or float dtype;
+            integers convert to float64 exactly).
+    """
+    n_nets, n_lanes = counts.shape
+    partial = np.zeros(n_lanes)
+    step = max(1, REDUCE_BLOCK_ELEMENTS // max(n_lanes, 1))
+    for lo in range(0, n_nets, step):
+        terms = caps[lo:lo + step, None] * counts[lo:lo + step]
+        terms[0] += partial
+        np.add.accumulate(terms, axis=0, out=terms)
+        partial = terms[-1]
+    return partial
 
 
 def _totals(toggles: np.ndarray) -> np.ndarray:
@@ -187,11 +208,9 @@ class PowerSimulator:
             )
         self.engine = engine
         self.last_stats: Optional[SimulationStats] = None
-        # Reusable buffers of the compiled engine's fused native path
-        # (one set per simulator, see _fused_buffers).
-        self._fused: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = (
-            None
-        )
+        # The native chunk call, bound on first use to this simulator's
+        # program (see _native_kernel).
+        self._kernel: Optional[ChunkKernel] = None
 
     @property
     def n_inputs(self) -> int:
@@ -235,16 +254,12 @@ class PowerSimulator:
             )
         charge = np.empty(n_cycles, dtype=np.float64)
         total = np.empty(n_cycles, dtype=np.int64)
-        caps = self.compiled.net_caps
-        run_chunk = (
-            self._compiled_chunk if engine == "compiled" else self._bool_chunk
-        )
-        # Glitch weighting needs the functional (settled-value) toggles to
-        # split full swings from partial ones; weight 1.0 does not.
-        need_functional = self.glitch_aware and self.glitch_weight != 1.0
-        # The settled state of each chunk's first vector equals the relaxed
-        # final column of the previous chunk (unique fixpoint of an acyclic
-        # network), so it is carried across chunks instead of re-settled.
+        run_chunk = self._bool_chunk
+        if engine == "compiled":
+            # The native gate is read once per stream.
+            run_chunk = partial(
+                self._compiled_chunk, kernel=self._native_kernel()
+            )
         boundary: Optional[np.ndarray] = None
         chunk_size = self.chunk_size or DEFAULT_CHUNK
         with span("sim.stream", engine=engine, n_cycles=n_cycles):
@@ -253,39 +268,9 @@ class PowerSimulator:
                 old_vecs = input_bits[start:stop]
                 new_vecs = input_bits[start + 1 : stop + 1]
                 with span("sim.chunk", rows=stop - start):
-                    toggles, functional, boundary, pre = run_chunk(
-                        old_vecs, new_vecs, boundary, need_functional
+                    charge[start:stop], total[start:stop], boundary = (
+                        run_chunk(old_vecs, new_vecs, boundary)
                     )
-                    pre_charge, pre_totals = (
-                        pre if pre is not None else (None, None)
-                    )
-                    if need_functional:
-                        # Split functional toggles (settled-value changes,
-                        # full swing) from glitch toggles (extra
-                        # transitions, partial swing weighted by
-                        # glitch_weight).  Integer counts are converted
-                        # to float64 once, up front: the conversion is
-                        # exact (counts are tiny), routes the matmul
-                        # through BLAS instead of numpy's slow integer
-                        # inner loop, and keeps every arithmetic step
-                        # dtype-identical for all engines (the
-                        # bit-for-bit parity contract).
-                        toggles_f = toggles.astype(np.float64)
-                        functional_f = functional.astype(np.float64)
-                        glitch = toggles_f - functional_f
-                        weighted = functional_f + self.glitch_weight * glitch
-                        charge[start:stop] = caps @ weighted
-                    elif pre_charge is not None:
-                        charge[start:stop] = pre_charge
-                    else:
-                        toggles_f = toggles.astype(np.float64)
-                        charge[start:stop] = caps @ toggles_f
-                    if pre_totals is not None:
-                        total[start:stop] = pre_totals
-                    else:
-                        total[start:stop] = toggles.sum(
-                            axis=0, dtype=np.int64
-                        )
         seconds = time.perf_counter() - started
         total_toggles = int(total.sum())
         self.last_stats = SimulationStats(
@@ -299,34 +284,63 @@ class PowerSimulator:
         EVENTS.sim_seconds.inc(seconds)
         return PowerTrace(charge=charge, total_toggles=total)
 
+    def _native_kernel(self) -> Optional[ChunkKernel]:
+        """The bound native chunk call, or ``None`` for the numpy path.
+
+        The native call covers the glitch-aware run at full glitch
+        weight; the zero-delay ablation and partial glitch weights need
+        per-net counts and take the numpy path.
+        """
+        if (
+            not self.glitch_aware
+            or self.glitch_weight != 1.0
+            or native_kernel() is None
+        ):
+            return None
+        if self._kernel is None:
+            program = compile_program(self.compiled)
+            tables = native_tables(program)
+            if tables is None:
+                return None
+            self._kernel = ChunkKernel(
+                program, tables, self.compiled.net_caps
+            )
+        return self._kernel
+
+    def _charge_and_totals(
+        self, toggles: np.ndarray, functional: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The shared accounting of per-net counts, in net order.
+
+        With ``functional`` (settled-value changes), glitch toggles
+        beyond them are weighted by ``glitch_weight``.
+        """
+        counts = toggles
+        if functional is not None:
+            functional_f = functional.astype(np.float64)
+            glitch = toggles.astype(np.float64) - functional_f
+            counts = functional_f + self.glitch_weight * glitch
+        return net_order_charge(self.compiled.net_caps, counts), _totals(
+            toggles
+        )
+
     # ------------------------------------------------------------------
-    # Engine chunk kernels.  Both return the *same* dense representation —
-    # ``(toggles [n_nets, L], functional | None, boundary, pre | None)``
-    # with integer counts (the exact dtype may differ; the shared
-    # accounting above converts to float64 before any arithmetic) — so the
-    # charge math is shared verbatim and the engines stay bit-identical by
-    # construction.  ``pre`` is an optional ``(charge | None, totals)``
-    # pair a kernel may supply when it can compute those cheaper than the
-    # shared path: ``totals`` ([L] int64) must be exactly equal to
-    # ``toggles.sum(axis=0)`` (integer arithmetic, no rounding freedom),
-    # and a kernel ``charge`` must come from the *same* BLAS dgemv on a
-    # float64 matrix holding bit-for-bit the values the shared astype
-    # would produce — never from a reassociated or mixed-precision
-    # shortcut.  A kernel supplying both may return ``toggles=None``
-    # (only legal when ``need_functional`` is False).
+    # Engine chunk kernels.  Each returns ``(charge [L], totals [L],
+    # boundary)``; ``boundary`` is whatever the kernel wants handed back
+    # with the next chunk.
     # ------------------------------------------------------------------
     def _bool_chunk(
         self,
         old_vecs: np.ndarray,
         new_vecs: np.ndarray,
         boundary: Optional[np.ndarray],
-        need_functional: bool,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray,
-               Optional[np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The settled state of a chunk's first vector equals the relaxed
+        # final column of the previous chunk (unique fixpoint of an
+        # acyclic network), so it is carried instead of re-settled.
         if boundary is None:
             settled = functional_values(self.compiled, old_vecs)
         else:
-            # Carried column: only vectors after the first need settling.
             rest = functional_values(self.compiled, old_vecs[1:])
             settled = np.concatenate([boundary[:, None], rest], axis=1)
         if self.glitch_aware:
@@ -335,153 +349,55 @@ class PowerSimulator:
             )
             functional = (
                 zero_delay_toggles(self.compiled, settled, final)
-                if need_functional else None
+                if self.glitch_weight != 1.0 else None
             )
-            return toggles, functional, final[:, -1].copy(), None
+            return (*self._charge_and_totals(toggles, functional),
+                    final[:, -1].copy())
         settled_new = functional_values(self.compiled, new_vecs)
         toggles = zero_delay_toggles(self.compiled, settled, settled_new)
         # Input pin charging is counted in both modes.
-        return toggles, None, settled_new[:, -1].copy(), None
+        return (*self._charge_and_totals(toggles, None),
+                settled_new[:, -1].copy())
 
     def _compiled_chunk(
         self,
         old_vecs: np.ndarray,
         new_vecs: np.ndarray,
-        boundary: Optional[np.ndarray],
-        need_functional: bool,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray,
-               Optional[np.ndarray]]:
-        # Values live in packed lanes and *program row order*; everything
-        # handed back to the shared accounting is permuted to net order
-        # through row_of_net (a full
-        # permutation — lut_fold is never enabled here, it would break
-        # the glitch parity contract).  Permutation happens on the packed
-        # words (tiny) before any unpack/decode, never on dense matrices.
-        # The boundary column stays in program order: it is only ever
-        # consumed by this kernel.
-        program = compile_program(self.compiled)
+        boundary: None,
+        kernel: Optional[ChunkKernel],
+    ) -> Tuple[np.ndarray, np.ndarray, None]:
+        # Every lane is settled afresh (a 64-lane word costs the same with
+        # or without the carried column), so no boundary is carried.
         n_lanes = len(old_vecs)
         n_words = n_words_for(n_lanes)
         old_packed = pack_lanes(old_vecs.T, n_words)
         new_packed = pack_lanes(new_vecs.T, n_words)
-        settled = program.settle(old_packed, n_words)
-        if boundary is not None:
-            inject_lane(settled, 0, boundary)
+        if kernel is not None:
+            return (*kernel.run(old_packed, new_packed, n_lanes), None)
+        # Numpy path.  Values live in packed lanes and program row order;
+        # the (tiny) packed planes are permuted to net order through
+        # row_of_net before decoding.
+        program = compile_program(self.compiled)
         row_of_net = program.row_of_net
-        if self.glitch_aware:
-            # Fused native path: relax into a persistent plane buffer,
-            # then walk the chunk in FUSED_BLOCK_LANES-lane blocks: one C
-            # pass decodes a block's planes -> net-ordered float64 counts
-            # + per-lane totals into a persistent [n_nets, block] buffer,
-            # and that block's dgemv writes its slice of the chunk charge.
-            # No temporaries scale with the chunk (the allocation churn,
-            # not the arithmetic, dominates sustained multi-chunk runs).
-            # Each dgemv runs on bit-for-bit the columns the shared
-            # astype path would build, and blocks start on whole words.
-            # Charge then matches the whole-chunk dgemv of the bool
-            # engine bit for bit *only if* the BLAS sums each
-            # output element in an order independent of how many rows
-            # the call has.  That is an assumption about the BLAS
-            # library (OpenBLAS holds it: 256 is a multiple of its
-            # 4-row tail), not something this code guarantees;
-            # tests/circuit/test_program.py::test_blocked_fused_parity
-            # checks it on the host with ragged lane counts (903, 3001,
-            # chunk 999), so a BLAS that breaks it fails the suite.
-            fused = (
-                not need_functional
-                and program.max_planes <= 8
-                and native_tables(program) is not None
-                and native_decode() is not None
+        settled = program.settle(old_packed, n_words)
+        if not self.glitch_aware:
+            settled_new = program.settle(new_packed, n_words)
+            toggles = unpack_lanes(
+                (settled ^ settled_new)[row_of_net], n_lanes
             )
-            if fused:
-                planes_buf, counts_buf, totals_u32 = self._fused_buffers(
-                    program, n_words
-                )
-                final, accumulator, _ = program.relax(
-                    settled, new_packed, planes_buffer=planes_buf
-                )
-                n_used = len(accumulator.planes)
-                chunk_charge = np.zeros(n_lanes)
-                chunk_totals = np.zeros(n_lanes, dtype=np.int64)
-                if n_used:
-                    row64 = program.__dict__.get("_row_of_net64")
-                    if row64 is None:
-                        row64 = np.ascontiguousarray(
-                            row_of_net, dtype=np.int64
-                        )
-                        program.__dict__["_row_of_net64"] = row64
-                    caps = self.compiled.net_caps
-                    n_nets = len(caps)
-                    for lo in range(0, n_lanes, FUSED_BLOCK_LANES):
-                        hi = min(lo + FUSED_BLOCK_LANES, n_lanes)
-                        counts = counts_buf[: n_nets * (hi - lo)].reshape(
-                            n_nets, hi - lo
-                        )
-                        totals = totals_u32[: hi - lo]
-                        decode_native(
-                            planes_buf[:n_used], row64, hi - lo,
-                            counts, totals, word_offset=lo // 64,
-                        )
-                        np.dot(caps, counts, out=chunk_charge[lo:hi])
-                        chunk_totals[lo:hi] = totals
-                pre = (chunk_charge, chunk_totals)
-                return None, None, extract_lane(final, n_lanes - 1), pre
-            final, accumulator, _ = program.relax(settled, new_packed)
-            if accumulator.planes:
-                toggles = decode_planes(
-                    [p[row_of_net] for p in accumulator.planes], n_lanes
-                )
-            else:
-                toggles = np.zeros(
-                    (self.compiled.n_nets, n_lanes), dtype=np.uint8
-                )
-            functional = (
-                unpack_lanes((settled ^ final)[row_of_net], n_lanes)
-                if need_functional else None
+            return (*self._charge_and_totals(toggles, None), None)
+        final, accumulator, _ = program.relax(settled, new_packed)
+        if accumulator.planes:
+            toggles = decode_planes(
+                [p[row_of_net] for p in accumulator.planes], n_lanes
             )
-            return (toggles, functional,
-                    extract_lane(final, n_lanes - 1),
-                    (None, _totals(toggles)))
-        settled_new = program.settle(new_packed, n_words)
-        toggles = unpack_lanes(
-            (settled ^ settled_new)[row_of_net], n_lanes
+        else:
+            toggles = np.zeros((self.compiled.n_nets, n_lanes), dtype=np.uint8)
+        functional = (
+            unpack_lanes((settled ^ final)[row_of_net], n_lanes)
+            if self.glitch_weight != 1.0 else None
         )
-        return (toggles, None,
-                extract_lane(settled_new, n_lanes - 1),
-                (None, _totals(toggles)))
-
-    def _fused_buffers(
-        self, program, n_words: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The fused native path's buffers, one set per simulator.
-
-        A ``[max_planes, n_rows, n_words]`` plane view into a flat
-        buffer that only grows (to the longest chunk seen), a flat
-        float64 count buffer of ``n_nets * FUSED_BLOCK_LANES`` and a
-        ``uint32`` block totals vector.  The count buffer is fixed by
-        the lane block, never by the chunk length (a whole-chunk
-        float64 matrix costs 8 bytes per net and lane); reusing all
-        three avoids fresh multi-MB allocations per chunk, which thrash
-        the allocator in sustained runs.
-        """
-        if self._fused is None:
-            self._fused = (
-                np.zeros(0, dtype=np.uint64),
-                np.empty(self.compiled.n_nets * FUSED_BLOCK_LANES),
-                np.empty(FUSED_BLOCK_LANES, dtype=np.uint32),
-            )
-        planes, counts, totals = self._fused
-        plane_words = program.max_planes * program.n_rows * n_words
-        if planes.size < plane_words:
-            planes = np.zeros(plane_words, dtype=np.uint64)
-            self._fused = (planes, counts, totals)
-        return (
-            planes[:plane_words].reshape(
-                program.max_planes, program.n_rows, n_words
-            ),
-            counts,
-            totals,
-        )
+        return (*self._charge_and_totals(toggles, functional), None)
 
     def average_charge(self, input_bits: np.ndarray) -> float:
         """Convenience: mean per-cycle charge over a stream."""

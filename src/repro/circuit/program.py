@@ -821,7 +821,6 @@ class BitwiseProgram:
         max_steps: Optional[int] = None,
         count_inputs: bool = True,
         native: Optional[bool] = None,
-        planes_buffer: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, ToggleAccumulator, int]:
         """Unit-delay relaxation after an input transition.
 
@@ -847,12 +846,6 @@ class BitwiseProgram:
                 ``True`` demands the native kernel (``RuntimeError``
                 when unavailable).  Both paths are all-integer and
                 produce bit-identical results.
-            planes_buffer: Optional caller-owned ``[max_planes, n_rows,
-                n_words]`` ``uint64`` buffer the native path re-zeroes
-                and fills instead of allocating (the returned
-                accumulator's planes are then views into it, valid until
-                the caller's next reuse).  Ignored on the numpy path or
-                on a shape mismatch.
 
         Returns:
             ``(final_values, accumulator, steps)`` — the accumulator's
@@ -889,12 +882,7 @@ class BitwiseProgram:
             # planes: a row's toggle count is bounded by depth + 1 (one
             # toggle per step plus the input application), so
             # bit_length(depth + 1) planes always suffice.
-            shape = (self.max_planes,) + full_shape
-            if planes_buffer is not None and planes_buffer.shape == shape:
-                planes_buf = planes_buffer
-                planes_buf.fill(0)
-            else:
-                planes_buf = np.zeros(shape, np.uint64)
+            planes_buf = np.zeros((self.max_planes,) + full_shape, np.uint64)
             n_planes = 0
             if count_inputs:
                 planes_buf[0, 2:in_stop] = diff_in

@@ -30,7 +30,7 @@ from .hd_model import HdPowerModel
 #: an unchanged configuration — the persistent model cache
 #: (:mod:`repro.runtime.cache`) keys on it, so bumping invalidates every
 #: stale cache entry at once.
-CHARACTERIZATION_VERSION = "3"
+CHARACTERIZATION_VERSION = "4"
 
 
 @dataclass

@@ -77,8 +77,7 @@ def numpy_lanes(monkeypatch):
     native relaxation when a C compiler is present); this pins the numpy
     word-level kernel so the lane layout is swept on its own.
     """
-    for target in ("repro.circuit.program", "repro.circuit.power"):
-        monkeypatch.setattr(f"{target}.native_tables", lambda program: None)
+    monkeypatch.setenv("REPRO_NATIVE", "0")
 
 
 def _lane_parity(module, bits, **kwargs):

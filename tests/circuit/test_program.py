@@ -2,22 +2,27 @@
 
 The compiled engine lowers a netlist to a straight-line bitwise program
 (:mod:`repro.circuit.program`) executed over the packed lane layout, with
-an optional native C backend (:mod:`repro.circuit.native`) for the
-relaxation loop and the toggle-plane decode.  Its contract: *identical*
-``charge`` and ``total_toggles`` arrays to the ``bool`` engine at equal
-chunk size, for every module kind and configuration.  This file sweeps
-that contract (kinds, glitch weights, zero delay, awkward lengths, chunk
-boundaries) and unit-tests the tape: class canonicalization, plane
-decoding, LUT folding, and the native-vs-numpy relaxation equivalence.
+an optional native C backend (:mod:`repro.circuit.native`) that runs a
+whole chunk (settle, relax, charge reduction) in one call.  Its contract:
+*identical* ``charge`` and ``total_toggles`` arrays to the ``bool``
+engine, for every module kind and configuration, because every path sums
+charge in ascending net order (:func:`net_order_charge`).  This file
+sweeps that contract (kinds, glitch weights, zero delay, awkward lengths,
+chunk boundaries, native vs numpy) and unit-tests the tape: class
+canonicalization, plane decoding, LUT folding, and the native-vs-numpy
+relaxation equivalence.
 """
 
 import numpy as np
 import pytest
 
 from repro.circuit import native as native_mod
+from repro.circuit.builder import NetlistBuilder
+from repro.circuit.compiled import CompiledNetlist
 from repro.circuit.native import (
-    decode_native,
-    native_decode,
+    CFLAGS,
+    library_path,
+    native_kernel,
     native_status,
     native_tables,
 )
@@ -29,11 +34,12 @@ from repro.circuit.packed import (
 )
 from repro.circuit.power import (
     AUTO_PACKED_MIN_CYCLES,
-    FUSED_BLOCK_LANES,
     PowerSimulator,
     PowerTrace,
+    net_order_charge,
 )
 from repro.circuit.program import _CANON, compile_program, decode_planes
+from repro.circuit.simulate import functional_values, unit_delay_transition
 from repro.circuit.technology import GATE_TYPES
 from repro.modules.library import make_module, module_kinds
 
@@ -57,8 +63,8 @@ def _stream(module, n_patterns, seed=0):
 
 def _assert_trace_equal(a: PowerTrace, b: PowerTrace):
     np.testing.assert_array_equal(a.total_toggles, b.total_toggles)
-    # Bitwise, not allclose: the kernels feed the same float64 values to
-    # the same BLAS accounting, so even the charge must match exactly.
+    # Bitwise, not allclose: every kernel sums the same products in the
+    # same net order, so even the charge must match exactly.
     np.testing.assert_array_equal(a.charge, b.charge)
 
 
@@ -129,20 +135,15 @@ def test_parity_across_chunk_boundaries(chunk_size):
 
 def test_parity_numpy_fallback(monkeypatch):
     """Parity holds with the native backend forced off (pure numpy path)."""
-    monkeypatch.setattr(
-        "repro.circuit.program.native_tables", lambda program: None
-    )
-    monkeypatch.setattr(
-        "repro.circuit.power.native_tables", lambda program: None
-    )
+    monkeypatch.setenv("REPRO_NATIVE", "0")
     module = make_module("csa_multiplier", 4)
     bits = _stream(module, 200, seed=5)
     _parity(module, bits)
 
 
 def test_chunk_size_invariance():
-    """Cross-chunk-size runs of the compiled engine: toggles exact, charge
-    to float-summation tolerance (the same contract the bool engine has)."""
+    """Cross-chunk-size runs of the compiled engine are bit-identical:
+    each transition sums its own nets, whatever chunk it lands in."""
     module = make_module("csa_multiplier", 4)
     bits = _stream(module, 129, seed=5)
     whole = PowerSimulator(
@@ -151,8 +152,7 @@ def test_chunk_size_invariance():
     sliced = PowerSimulator(
         module.compiled, engine="compiled", chunk_size=13
     ).simulate(bits)
-    np.testing.assert_array_equal(whole.total_toggles, sliced.total_toggles)
-    np.testing.assert_allclose(whole.charge, sliced.charge, rtol=1e-12, atol=0.0)
+    _assert_trace_equal(whole, sliced)
 
 
 def test_constant_stream_has_no_toggles():
@@ -191,44 +191,143 @@ def test_auto_resolves_to_compiled():
 
 
 # ----------------------------------------------------------------------
-# Lane-blocked fused decode
+# The charge-order contract: native compiled == numpy compiled == bool
 # ----------------------------------------------------------------------
-def _require_fused(module):
-    program = compile_program(module.compiled)
-    if native_tables(program) is None or native_decode() is None:
+def _require_native():
+    if native_kernel() is None:
         pytest.skip(f"native backend unavailable: {native_status()}")
+
+
+def _three_way(compiled, bits, monkeypatch, **kwargs):
+    """Native compiled (numpy too without a C compiler), ``REPRO_NATIVE=0``
+    compiled and bool agree bit for bit on charge and toggles; returns
+    the native trace."""
+    native = PowerSimulator(compiled, engine="compiled", **kwargs).simulate(
+        bits
+    )
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_NATIVE", "0")
+        fallback = PowerSimulator(
+            compiled, engine="compiled", **kwargs
+        ).simulate(bits)
+    ref = PowerSimulator(compiled, engine="bool", **kwargs).simulate(bits)
+    _assert_trace_equal(ref, native)
+    _assert_trace_equal(ref, fallback)
+    return native
 
 
 @pytest.mark.parametrize(
     "n_cycles, chunk_size",
     [(903, None), (2048, None), (3001, None), (1000, 999), (700, 320)],
 )
-def test_blocked_fused_parity(n_cycles, chunk_size):
-    """Chunks spanning several lane blocks (and ragged last blocks) keep
-    charge bit-identical to the bool engine."""
+def test_charge_order_parity(n_cycles, chunk_size, monkeypatch):
+    """Ragged lane counts and chunk tails (1000 cycles in chunks of 999
+    leave a 1-lane chunk) keep all three paths bit-identical."""
     module = make_module("csa_multiplier", 6)
-    _require_fused(module)
     bits = _stream(module, n_cycles + 1, seed=n_cycles)
-    trace = _parity(module, bits, chunk_size=chunk_size)
+    trace = _three_way(module.compiled, bits, monkeypatch, chunk_size=chunk_size)
     assert trace.n_cycles == n_cycles
 
 
-def test_fused_buffers_independent_of_chunk_length():
-    """999- and 1000-lane chunks share one buffer set whose count
-    matrix is one lane block, whatever the chunk length."""
+@pytest.mark.parametrize("kind", module_kinds())
+def test_charge_order_every_kind(kind, monkeypatch):
+    """Every registered kind: 1001 patterns in chunks of 999, so the last
+    chunk has one lane."""
+    module = make_module(kind, SWEEP_WIDTH)
+    bits = _stream(module, 1001, seed=hash(kind) % 2**32)
+    _three_way(module.compiled, bits, monkeypatch, chunk_size=999)
+
+
+def test_charge_order_glitch_weight(monkeypatch):
+    """Partial glitch weights take the numpy reducer on every engine."""
+    module = make_module("csa_multiplier", 6)
+    bits = _stream(module, 1001, seed=13)
+    _three_way(module.compiled, bits, monkeypatch, chunk_size=999, glitch_weight=0.5)
+
+
+def _tapped_chain(length):
+    """A net that toggles ``length + 1`` times per input change: an
+    inverter chain whose every node feeds a balanced XOR tree, so each
+    node's change reaches the root at its own unit-delay step."""
+    b = NetlistBuilder("tapped_chain")
+    x, y = b.add_inputs(2)
+    taps = [b.gate("XOR2", x, y)]
+    for _ in range(length):
+        taps.append(b.gate("INV", taps[-1]))
+    while len(taps) > 1:
+        pairs = zip(taps[0::2], taps[1::2])
+        taps = [b.gate("XOR2", u, v) for u, v in pairs] + (
+            [taps[-1]] if len(taps) % 2 else []
+        )
+    return CompiledNetlist(b.build(taps))
+
+
+def test_charge_order_deep_counts(monkeypatch):
+    """Counts of 256 or more need a ninth toggle plane and take the C
+    reduction's per-lane branch; all three paths stay bit-identical,
+    with a ragged last word in both chunks (69 cycles in chunks of 50)."""
+    compiled = _tapped_chain(300)
+    assert compile_program(compiled).max_planes >= 9
+    rng = np.random.default_rng(15)
+    bits = rng.integers(0, 2, size=(70, 2)).astype(bool)
+    settled = functional_values(compiled, bits[:-1])
+    _, toggles = unit_delay_transition(compiled, settled, bits[1:])
+    assert toggles.max() >= 256
+    trace = _three_way(compiled, bits, monkeypatch, chunk_size=50)
+    assert trace.n_cycles == 69
+
+
+def test_native_charge_matches_net_loop():
+    """The C reduction equals an explicit Python loop over nets: per
+    transition, capacitance times count, added in ascending net order."""
+    _require_native()
+    module = make_module("booth_wallace_multiplier", 4)
+    compiled = module.compiled
+    bits = _stream(module, 300, seed=14)
+    trace = PowerSimulator(compiled, engine="compiled").simulate(bits)
+    settled = functional_values(compiled, bits[:-1])
+    _, toggles = unit_delay_transition(compiled, settled, bits[1:])
+    expected = np.zeros(toggles.shape[1])
+    for net in range(compiled.n_nets):
+        expected = expected + compiled.net_caps[net] * toggles[net].astype(
+            np.float64
+        )
+    np.testing.assert_array_equal(trace.charge, expected)
+    np.testing.assert_array_equal(
+        net_order_charge(compiled.net_caps, toggles), expected
+    )
+    np.testing.assert_array_equal(
+        trace.total_toggles, toggles.sum(axis=0, dtype=np.int64)
+    )
+
+
+def test_chunk_kernel_bound_once_per_simulator():
+    """The native call is bound on first use and reused by later streams;
+    its work buffers only grow, and malformed inputs never reach C."""
+    _require_native()
     module = make_module("ripple_adder", 8)
-    _require_fused(module)
     sim = PowerSimulator(module.compiled, engine="compiled")
     sim.simulate(_stream(module, 1000, seed=1))
-    first = sim._fused
-    sim.simulate(_stream(module, 1001, seed=2))
-    assert sim._fused is first
-    planes, counts, totals = first
-    assert counts.size == module.compiled.n_nets * FUSED_BLOCK_LANES
-    assert totals.size == FUSED_BLOCK_LANES
-    # A longer chunk grows only the packed plane buffer, never the counts.
+    kernel = sim._kernel
+    assert kernel is not None
+    planes = kernel._planes
+    sim.simulate(_stream(module, 500, seed=2))
+    assert sim._kernel is kernel and kernel._planes is planes
     sim.simulate(_stream(module, 3000, seed=3))
-    assert sim._fused[1] is counts
+    assert sim._kernel is kernel and kernel._planes.size > planes.size
+    # Shapes are checked before any address reaches C.
+    with pytest.raises(ValueError):
+        kernel.run(np.zeros((1, 1), np.uint64), np.zeros((1, 1), np.uint64), 1)
+
+
+def test_library_path_tracks_flags_and_compiler():
+    """The cached object is named by source, flags and compiler, so a
+    flag or compiler change never reuses an object built another way."""
+    base = library_path("/usr/bin/cc", CFLAGS)
+    assert library_path("/usr/bin/cc", CFLAGS) == base
+    assert library_path("/usr/bin/cc", CFLAGS + ("-g",)) != base
+    assert library_path("/usr/bin/cc", ("-O2", "-shared", "-fPIC")) != base
+    assert library_path("/usr/bin/clang", CFLAGS) != base
 
 
 # ----------------------------------------------------------------------
@@ -300,31 +399,6 @@ def test_decode_planes_matches_accumulator_decode(n_planes):
     np.testing.assert_array_equal(got, expected)
 
 
-def test_native_decode_matches_decode_planes():
-    """The fused C decode produces the exact float64 counts and totals."""
-    if native_decode() is None:
-        pytest.skip(f"native backend unavailable: {native_status()}")
-    rng = np.random.default_rng(10)
-    n_rows, n_lanes, n_planes = 17, 130, 4
-    n_words = n_words_for(n_lanes)
-    planes = np.asarray(
-        _random_planes(rng, n_planes, n_rows, n_words)
-    )
-    row_of_net = np.ascontiguousarray(
-        rng.permutation(n_rows), dtype=np.int64
-    )
-    out = np.empty((n_rows, n_lanes), dtype=np.float64)
-    totals = np.empty(n_lanes, dtype=np.uint32)
-    decode_native(planes, row_of_net, n_lanes, out, totals)
-    expected = decode_planes(
-        [p[row_of_net] for p in planes], n_lanes
-    ).astype(np.float64)
-    np.testing.assert_array_equal(out, expected)
-    np.testing.assert_array_equal(
-        totals.astype(np.int64), expected.sum(axis=0).astype(np.int64)
-    )
-
-
 # ----------------------------------------------------------------------
 # Native backend
 # ----------------------------------------------------------------------
@@ -352,10 +426,9 @@ def test_native_env_gate(monkeypatch):
     """REPRO_NATIVE=0 resolves the kernel to None (numpy fallback)."""
     monkeypatch.setenv("REPRO_NATIVE", "0")
     monkeypatch.setattr(native_mod, "_KERNEL", False)
-    monkeypatch.setattr(native_mod, "_DECODE", False)
+    monkeypatch.setattr(native_mod, "_CHUNK", False)
     monkeypatch.setattr(native_mod, "_STATUS", "unresolved")
     assert native_mod.native_kernel() is None
-    assert native_mod.native_decode() is None
     assert "disabled" in native_mod.native_status()
 
 
@@ -371,7 +444,6 @@ def test_native_gate_reread_without_reimport(monkeypatch):
     """
     monkeypatch.setenv("REPRO_NATIVE", "0")
     assert native_mod.native_kernel() is None
-    assert native_mod.native_decode() is None
     assert "disabled" in native_mod.native_status()
     # Clearing the gate re-enables (or at least re-attempts resolution).
     monkeypatch.delenv("REPRO_NATIVE")
@@ -401,7 +473,6 @@ def test_native_gate_toggles_in_subprocess():
         "os.environ['REPRO_NATIVE'] = '0'",
         "from repro.circuit import native",
         "assert native.native_kernel() is None",
-        "assert native.native_decode() is None",
         "assert 'disabled' in native.native_status()",
         "os.environ['REPRO_NATIVE'] = '1'",
         "kernel = native.native_kernel()  # may be None without a cc",

@@ -35,20 +35,32 @@ def rng():
 
 @pytest.fixture()
 def compiled_toggle_bug(monkeypatch):
-    """Corrupt the compiled kernel: flip one toggle-plane bit per relax.
+    """Corrupt the compiled kernel: one flipped toggle-plane bit per chunk.
 
-    Every caller of :meth:`BitwiseProgram.relax` (the simulator's chunk
-    kernel, native or numpy, and the hotspot report) sees the flipped
-    bit, so fuzz and parity checks must flag the compiled engine.
+    The native chunk call (:meth:`ChunkKernel.run`, which relaxes and
+    reduces in C) returns lane 0 with the extra toggle and unit charge
+    that flipping a clear plane-0 bit of a unit-capacitance net adds.
+    Every caller of :meth:`BitwiseProgram.relax` (the numpy chunk path
+    and the hotspot report) sees a flipped plane bit.  Fuzz and parity
+    checks must flag the compiled engine on either path.
     """
+    from repro.circuit.native import ChunkKernel
     from repro.circuit.program import BitwiseProgram
 
-    real = BitwiseProgram.relax
+    real_run = ChunkKernel.run
+    real_relax = BitwiseProgram.relax
 
-    def corrupted(self, *args, **kwargs):
-        final, accumulator, steps = real(self, *args, **kwargs)
+    def corrupted_run(self, *args, **kwargs):
+        charge, totals = real_run(self, *args, **kwargs)
+        charge[0] += 1.0
+        totals[0] += 1
+        return charge, totals
+
+    def corrupted_relax(self, *args, **kwargs):
+        final, accumulator, steps = real_relax(self, *args, **kwargs)
         if accumulator.planes:
             accumulator.planes[0][0, 0] ^= np.uint64(1)
         return final, accumulator, steps
 
-    monkeypatch.setattr(BitwiseProgram, "relax", corrupted)
+    monkeypatch.setattr(ChunkKernel, "run", corrupted_run)
+    monkeypatch.setattr(BitwiseProgram, "relax", corrupted_relax)

@@ -40,7 +40,8 @@ def _bits():
 # stimulus.  json.dumps of these dicts (in this key order) must equal the
 # raw response bytes.  The fields and their order are the wire contract;
 # the average_charge figures follow the fitted coefficients, so they may
-# change only with a CHARACTERIZATION_VERSION bump (captured at "3").
+# change only with a CHARACTERIZATION_VERSION bump (captured at "3",
+# unchanged at "4").
 # ----------------------------------------------------------------------
 PINNED_BITS_BODY = {
     "average_charge": 28.06567879222381,

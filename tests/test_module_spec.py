@@ -20,19 +20,19 @@ from repro.modules import (
 from repro.runtime.cache import ModelCache
 
 # (kind, width, enhanced, seed) -> digest with the default
-# ExperimentConfig, captured at CHARACTERIZATION_VERSION "3".  A digest
+# ExperimentConfig, captured at CHARACTERIZATION_VERSION "4".  A digest
 # may change only together with a deliberate CHARACTERIZATION_VERSION
 # bump (results changed under an unchanged config): any other drift
 # silently orphans every persisted model cache in the field.
 PINNED_KEYS = {
     ("ripple_adder", 8, False, 1999):
-        "140f9b3b79d2a28b8709d60b101e84bfcbb62adf6a6160238c021464950229aa",
+        "522e7d3bcee1fac630ec90e8066e471ab5c079049b7ab053b1d016dced9771ab",
     ("csa_multiplier", 4, True, 0):
-        "dfd1fafdff4042fcdb5322699298c6a77651f49ceb0c0c2d6ddf97c886866b24",
+        "8d1741607a3017fbf1d89229e0abf953cfd0c107e2a94e6e75e04d12f1033338",
     ("mac", 6, False, 7):
-        "3104e74df418f0a26f1ad8da24b8017147f69478afe1f117a1da281a5c3fe28c",
+        "c76216d0029e5d64f7776c580a932b06e68c4e1896ffae309879057947b10eb1",
     ("cla_adder", 16, False, 1999):
-        "3a22a0037215bf69b2614881dfa9117f62c40aa150bb98968a7838bbc4a1477b",
+        "42bf852c4488a6710a5a0bd983f949e4df90c3b18760d62d4de2ed800dcbf108",
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.circuit.power as power_mod
+from repro.circuit.native import ChunkKernel, native_kernel
 from repro.verify.differential import (
     DEFAULT_KINDS,
     SWAP_SYMMETRIC_KINDS,
@@ -101,29 +102,28 @@ def test_engine_parity_catches_plane_corruption(compiled_toggle_bug):
 
 
 def test_engine_parity_catches_compiled_corruption(monkeypatch):
-    """An off-by-one in the compiled kernel's precomputed totals is
-    detected (covers the fused native accounting path too)."""
-    real = power_mod.PowerSimulator._compiled_chunk
-
-    def corrupted(self, old_vecs, new_vecs, boundary, need_functional):
-        toggles, functional, boundary, pre = real(
-            self, old_vecs, new_vecs, boundary, need_functional
-        )
-        if pre is not None and pre[1] is not None:
-            totals = pre[1].copy()
-            totals[0] += 1
-            pre = (pre[0], totals)
-        return toggles, functional, boundary, pre
-
-    monkeypatch.setattr(
-        power_mod.PowerSimulator, "_compiled_chunk", corrupted
-    )
+    """An off-by-one lane total from the compiled chunk is detected, on
+    the native chunk call and on the ``REPRO_NATIVE=0`` numpy path."""
+    targets = [(power_mod.PowerSimulator, "_compiled_chunk", "0")]
+    if native_kernel() is not None:
+        targets.append((ChunkKernel, "run", "1"))
     case = _case(n_patterns=50)
     module, bits = _prepared(case)
-    mismatches = check_engine_parity(case, module, bits)
-    assert {m.check for m in mismatches} >= {
-        "engine_parity_toggles_compiled"
-    }
+    for owner, name, gate in targets:
+        real = getattr(owner, name)
+
+        def corrupted(self, *args, _real=real, **kwargs):
+            result = _real(self, *args, **kwargs)
+            result[1][0] += 1  # (charge, totals, ...): one lane's total
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_NATIVE", gate)
+            patch.setattr(owner, name, corrupted)
+            mismatches = check_engine_parity(case, module, bits)
+        assert {m.check for m in mismatches} >= {
+            "engine_parity_toggles_compiled"
+        }, name
 
 
 def test_oracle_catches_shared_engine_bug(monkeypatch):
