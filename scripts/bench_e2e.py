@@ -14,6 +14,13 @@ the ``make bench-e2e`` target::
 
     python3 scripts/bench_e2e.py
 
+After appending, it prints one row per metric of every workload: the
+previous entry's value, the new one and their ratio (new / previous);
+metrics that read 0 in both entries are ones the workload does not
+measure and are left out.  An
+end-to-end metric that is worse than the previous entry by more than its
+``BENCHMARK.json`` bound (a relative change) is marked ``PAST BOUND``.
+
 Exits 1 when any run reports a failed correctness check (the entry is
 still appended, with ``"correct": false``).
 """
@@ -25,6 +32,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "BENCH_e2e.json"
@@ -52,6 +60,45 @@ def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
     return document
 
 
+def metric_values(entry: dict, workload: str) -> Dict[str, float]:
+    """Every metric of one workload in an entry, both runs merged."""
+    runs = entry["workloads"].get(workload, {})
+    return {name: metric["value"] for run in runs.values()
+            for name, metric in run["metrics"].items()}
+
+
+def past_bound(previous: float, new: float, better: str,
+               bound: float) -> bool:
+    """Whether ``new`` is worse than ``previous`` by more than ``bound``."""
+    if better == "lower":
+        return new > previous * (1.0 + bound)
+    return new < previous * (1.0 - bound)
+
+
+def ratio_table(previous: dict, new: dict, benchmark: dict) -> List[str]:
+    """Rows of ``workload metric previous new ratio [PAST BOUND]``."""
+    bounds = {m["name"]: m for m in benchmark["end_to_end"]}
+    rows = [f"{'workload':<13} {'metric':<36} {'previous':>12} "
+            f"{'new':>12} {'ratio':>7}"]
+    for workload in WORKLOADS:
+        before = metric_values(previous, workload)
+        for name, value in metric_values(new, workload).items():
+            old = before.get(name)
+            if old == 0 and value == 0:
+                continue  # not measured by this workload
+            if old is None:
+                ratio, mark = "new", ""
+            else:
+                ratio = f"{value / old:7.3f}" if old else "-"
+                spec = bounds.get(name)
+                mark = ("  PAST BOUND" if spec and past_bound(
+                    old, value, spec["better"], spec["bound"]) else "")
+            shown = "-" if old is None else f"{old:12.4g}"
+            rows.append(f"{workload:<13} {name:<36} {shown:>12} "
+                        f"{value:12.4g} {ratio:>7}{mark}")
+    return rows
+
+
 def tree_dirty() -> bool:
     """Whether tracked files differ from the commit (False without git)."""
     try:
@@ -65,7 +112,8 @@ def tree_dirty() -> bool:
 
 
 def main() -> int:
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     dirty = tree_dirty()
     stamp = None
     workloads = {}
@@ -90,6 +138,9 @@ def main() -> int:
     history.append(entry)
     TRAJECTORY.write_text(json.dumps(history, indent=1) + "\n")
     print(f"appended entry {len(history)} to {TRAJECTORY.name}")
+    if len(history) > 1:
+        print(f"entry {len(history)} / entry {len(history) - 1}:")
+        print("\n".join(ratio_table(history[-2], entry, benchmark)))
     correct = all(run["correct"] for runs in workloads.values()
                   for run in runs.values())
     return 0 if correct else 1

@@ -137,7 +137,7 @@ def smoke_serve_trace() -> None:
         check("serve.request" in trace["spans"],
               "span summary includes serve.request")
         check("batch.flush" in trace["spans"],
-              "executor-thread spans joined the request trace")
+              "the batch.flush span joined the request trace")
         check(validate_chrome(trace["chrome"]) == [],
               "embedded chrome trace validates")
 

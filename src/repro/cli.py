@@ -199,14 +199,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8719,
                    help="bind port; 0 picks an ephemeral port")
     p.add_argument("--jobs", type=int, default=2,
-                   help="worker threads for batch estimation and model "
-                        "loads")
+                   help="worker threads for model loads (warmup, cold "
+                        "requests), session creates and self-check "
+                        "sessions; warm estimates and plain session "
+                        "appends run on the event loop")
     p.add_argument("--max-queue", type=int, default=256,
                    help="admission limit; excess requests get 429")
-    p.add_argument("--max-batch", type=int, default=64,
-                   help="micro-batch flush size (1 disables coalescing)")
-    p.add_argument("--batch-wait-ms", type=float, default=2.0,
-                   help="micro-batch flush window in milliseconds")
     p.add_argument("--request-timeout", type=float, default=30.0,
                    help="per-request deadline in seconds (504 past it)")
     p.add_argument("--max-exact-width", type=int, default=16,
@@ -863,8 +861,6 @@ def _cmd_serve(args) -> int:
         max_queue=args.max_queue,
         request_timeout=args.request_timeout,
         jobs=args.jobs,
-        max_batch=args.max_batch,
-        batch_wait=args.batch_wait_ms / 1e3,
         max_sessions=args.max_sessions,
         session_ttl=args.session_ttl,
         session_snapshot_path=args.session_snapshot,
@@ -901,8 +897,6 @@ def _serve_fleet(args, registry, cache) -> int:
             "max_queue": args.max_queue,
             "request_timeout": args.request_timeout,
             "jobs": args.jobs,
-            "max_batch": args.max_batch,
-            "batch_wait": args.batch_wait_ms / 1e3,
             "max_sessions": args.max_sessions,
             "session_ttl": args.session_ttl,
             "session_snapshot_path": args.session_snapshot,

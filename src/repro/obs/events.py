@@ -75,6 +75,8 @@ class _Metric:
         self._lock = threading.Lock()
 
     def _key(self, labels: Dict[str, str]) -> Tuple[str, ...]:
+        if not labels and not self.label_names:
+            return ()
         if set(labels) != set(self.label_names):
             raise ValueError(
                 f"{self.name} expects labels {self.label_names}, "

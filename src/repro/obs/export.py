@@ -20,12 +20,15 @@ from .events import EVENTS
 from .tracing import TraceContext
 
 
-def chrome_trace(ctx: TraceContext) -> Dict[str, Any]:
+def chrome_trace(ctx: TraceContext, counters: bool = True) -> Dict[str, Any]:
     """Render a context as a Chrome Trace Event JSON object.
 
     Every span becomes a complete (``"ph": "X"``) event; timestamps are
     microseconds relative to the earliest span so the viewer opens at
-    t=0.  The shared event-counter snapshot rides along in ``otherData``.
+    t=0.  With ``counters`` the shared event-counter snapshot rides along
+    in ``otherData``; a per-request serve trace leaves it out, since the
+    process-wide totals say nothing about one request and ``/metrics``
+    already serves them.
     """
     records = ctx.records()
     origin = min((r["start"] for r in records), default=0.0)
@@ -45,13 +48,13 @@ def chrome_trace(ctx: TraceContext) -> Dict[str, Any]:
             "cat": "repro",
             "args": attrs,
         })
+    other: Dict[str, Any] = {"trace_id": ctx.trace_id}
+    if counters:
+        other["counters"] = EVENTS.snapshot()
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {
-            "trace_id": ctx.trace_id,
-            "counters": EVENTS.snapshot(),
-        },
+        "otherData": other,
     }
 
 

@@ -181,56 +181,58 @@ def span(name: str, **attrs: Any):
     ctx = _CURRENT.get()
     if ctx is None:
         return NULL_SPAN
-    return _open_span(ctx, name, attrs)
-
-
-@contextmanager
-def _open_span(ctx: TraceContext, name: str,
-               attrs: Dict[str, Any]) -> Iterator["_LiveSpan"]:
-    parent = _PARENT.get()
-    # Claim this span's id up front so children can parent onto it even
-    # though the record is only appended when the span closes.
-    with ctx._lock:
-        span_id = ctx._next_id
-        ctx._next_id += 1
-    token = _PARENT.set(span_id)
-    live = _LiveSpan(attrs)
-    start = _now()
-    try:
-        yield live
-    finally:
-        duration = _now() - start
-        _PARENT.reset(token)
-        with ctx._lock:
-            ctx._records.append({
-                "id": span_id,
-                "parent": parent,
-                "name": name,
-                "start": start,
-                "dur": duration,
-                "attrs": live.attrs,
-                "pid": os.getpid(),
-                "tid": threading.get_ident(),
-            })
-        EVENTS.spans_recorded.inc()
+    return _LiveSpan(ctx, name, attrs)
 
 
 class _LiveSpan:
-    """Handle yielded by :func:`span` for attaching attributes."""
+    """An open span: the handle :func:`span` yields for attaching
+    attributes, recorded into its context when the block exits.
 
-    __slots__ = ("attrs",)
+    A plain class rather than a generator context manager: serving
+    traces open a handful of spans per sub-millisecond request, so the
+    per-span cost shows up in ``obs.trace_overhead``.
+    """
 
-    def __init__(self, attrs: Dict[str, Any]):
+    __slots__ = ("ctx", "name", "attrs", "span_id", "parent", "token",
+                 "start")
+
+    def __init__(self, ctx: TraceContext, name: str,
+                 attrs: Dict[str, Any]):
+        self.ctx = ctx
+        self.name = name
         self.attrs = attrs
 
     def set(self, **attrs: Any) -> None:
         self.attrs.update(attrs)
 
     def __enter__(self) -> "_LiveSpan":
+        ctx = self.ctx
+        self.parent = _PARENT.get()
+        # Claim this span's id up front so children can parent onto it
+        # even though the record is only appended when the span closes.
+        with ctx._lock:
+            self.span_id = ctx._next_id
+            ctx._next_id += 1
+        self.token = _PARENT.set(self.span_id)
+        self.start = _now()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        return None
+        duration = _now() - self.start
+        _PARENT.reset(self.token)
+        ctx = self.ctx
+        with ctx._lock:
+            ctx._records.append({
+                "id": self.span_id,
+                "parent": self.parent,
+                "name": self.name,
+                "start": self.start,
+                "dur": duration,
+                "attrs": self.attrs,
+                "pid": os.getpid(),
+                "tid": threading.get_ident(),
+            })
+        EVENTS.spans_recorded.inc()
 
 
 @contextmanager
@@ -256,7 +258,7 @@ def trace(name: str, trace_id: Optional[str] = None,
     ctx = TraceContext(trace_id)
     token = _CURRENT.set(ctx)
     try:
-        with _open_span(ctx, name, dict(attrs)):
+        with _LiveSpan(ctx, name, dict(attrs)):
             yield ctx
     finally:
         _CURRENT.reset(token)

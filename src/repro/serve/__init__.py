@@ -7,8 +7,9 @@ high-throughput service.  This package is that service (docs/SERVING.md):
 * :mod:`registry` — lazy, single-flight model materialization backed by
   the persistent :class:`~repro.runtime.cache.ModelCache`, with the
   Section-5 width regression serving never-characterized widths;
-* :mod:`batching` — micro-batching of concurrent trace estimations into
-  single vectorized passes, plus direct analytic fast paths;
+* :mod:`batching` — micro-batching of the trace estimations parsed in one
+  event-loop tick into single vectorized passes, plus direct analytic
+  fast paths;
 * :mod:`server` — the asyncio JSON-over-HTTP front-end with bounded
   queues, 429 backpressure, deadlines and graceful drain;
 * :mod:`metrics` — process-local counters/histograms exported at
@@ -24,7 +25,7 @@ high-throughput service.  This package is that service (docs/SERVING.md):
   (``POST /v1/sessions`` …, ``Session.stream``).
 """
 
-from .batching import DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT, MicroBatcher
+from .batching import MicroBatcher
 from .fleet import FleetMetricsServer, ServeFleet, WorkerSpec
 from .metrics import (
     MetricsRegistry,
@@ -61,8 +62,6 @@ from .warmup import (
 
 __all__ = [
     "CharacterizationFailed",
-    "DEFAULT_MAX_BATCH",
-    "DEFAULT_MAX_WAIT",
     "DEFAULT_PROTOTYPE_WIDTHS",
     "DEFAULT_WIDTH_SWEEP",
     "EstimationServer",

@@ -1,34 +1,32 @@
-"""Micro-batching: coalesce concurrent trace estimations per model.
+"""Micro-batching: coalesce trace estimations per model, one flush a tick.
 
 Trace-based estimation of a short request is dominated by fixed Python
 overhead (argument checking, classification setup), not by numpy work.
-The :class:`MicroBatcher` therefore holds each incoming
-``estimate_from_bits`` request for up to ``max_wait`` seconds (default
-2 ms), coalescing every concurrent request *for the same model* into one
-:meth:`~repro.core.estimator.PowerEstimator.estimate_batch_from_bits`
+The :class:`MicroBatcher` therefore coalesces every ``estimate_bits``
+request *for the same model* that arrives within one event-loop tick into
+one :meth:`~repro.core.estimator.PowerEstimator.estimate_batch_from_bits`
 call — a single vectorized classification pass whose per-request results
 match direct calls to floating-point summation order (the batch API
 drops the spurious boundary cycles, see the estimator docstring).
 
-A batch is flushed by whichever trigger fires first:
-
-* **size** — ``max_batch`` requests are waiting;
-* **timeout** — the oldest request has waited ``max_wait``;
-* **drain** — the server is shutting down.
+The first request queued for a model schedules that model's flush with
+``loop.call_soon``; the flush runs inline on the next tick, so a lone
+request waits for nothing and requests parsed in the same tick share one
+pass.  There is no wait window, timer or executor: the estimate is a small
+fraction of the JSON decode and bit validation the loop already does for
+the same request.  A batch is bounded by the requests the server admits
+(its ``max_queue``), since each connection has at most one in flight.
+Flushes are counted by trigger: **tick** (the scheduled flush) or
+**drain** (the server is shutting down).
 
 Analytic endpoints (distribution / DBT statistics) never enter the queue:
-they are O(m) dot products, cheaper than the batching latency itself, so
-:meth:`estimate_distribution` and :meth:`estimate_analytic` are direct
-fast paths.
-
-The numpy work of a flush runs in an executor thread, so the event loop
-keeps accepting requests while a batch computes.
+they are O(m) dot products, so :meth:`estimate_distribution` and
+:meth:`estimate_analytic` are direct fast paths.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Executor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,60 +38,26 @@ from .metrics import ServeMetrics
 from .registry import ServedModel
 from .sessions import hd_distribution, operand_word_stats
 
-#: Default flush bounds (the ISSUE's "2 ms or 64 requests").
-DEFAULT_MAX_BATCH = 64
-DEFAULT_MAX_WAIT = 0.002
-
-
-class _Pending:
-    """One queued request: its bit matrix and the caller's future."""
-
-    __slots__ = ("bits", "future")
-
-    def __init__(self, bits: np.ndarray, future: "asyncio.Future"):
-        self.bits = bits
-        self.future = future
-
 
 class _ModelQueue:
-    """Per-model pending batch plus its scheduled timeout flush."""
+    """Per-model requests waiting for the next tick's flush."""
 
-    __slots__ = ("served", "pending", "timer")
+    __slots__ = ("served", "bits", "futures")
 
     def __init__(self, served: ServedModel):
         self.served = served
-        self.pending: List[_Pending] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
+        self.bits: List[np.ndarray] = []
+        self.futures: List["asyncio.Future"] = []
 
 
 class MicroBatcher:
     """Coalesces per-model trace estimations into vectorized batches.
 
     Args:
-        executor: Where flush computations run; ``None`` uses the event
-            loop's default executor.
-        max_batch: Flush as soon as this many requests are queued
-            (``1`` disables coalescing — the unbatched baseline the
-            benchmark compares against).
-        max_wait: Maximum seconds the oldest request waits before a
-            timeout flush.
         metrics: Shared :class:`ServeMetrics`; a private set by default.
     """
 
-    def __init__(
-        self,
-        executor: Optional[Executor] = None,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait: float = DEFAULT_MAX_WAIT,
-        metrics: Optional[ServeMetrics] = None,
-    ):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if max_wait < 0:
-            raise ValueError("max_wait must be >= 0")
-        self.executor = executor
-        self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
+    def __init__(self, metrics: Optional[ServeMetrics] = None):
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self._queues: Dict[Tuple[str, int, bool, str], _ModelQueue] = {}
 
@@ -103,85 +67,48 @@ class MicroBatcher:
     async def estimate_bits(
         self, served: ServedModel, bits: np.ndarray
     ) -> EstimationResult:
-        """Queue one trace estimation; resolves when its batch flushes."""
+        """Queue one trace estimation; resolves on the next loop tick."""
         loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
         key = (served.kind, served.width, served.enhanced, served.source)
         queue = self._queues.get(key)
         if queue is None:
-            queue = _ModelQueue(served)
-            self._queues[key] = queue
-        queue.pending.append(_Pending(bits, future))
-        if len(queue.pending) >= self.max_batch:
-            self._flush(key, "size")
-        elif queue.timer is None:
-            queue.timer = loop.call_later(
-                self.max_wait, self._flush, key, "timeout"
-            )
+            queue = self._queues[key] = _ModelQueue(served)
+        if not queue.futures:
+            # call_soon copies the caller's context, so the batch.flush
+            # span lands in the first requester's trace, if any.
+            loop.call_soon(self._flush, key, "tick")
+        future = loop.create_future()
+        queue.bits.append(bits)
+        queue.futures.append(future)
         return await future
 
-    async def estimate_streams(
-        self, served: ServedModel, words: Sequence[Sequence[int]]
-    ) -> EstimationResult:
-        """Trace estimation from per-operand signed word lists.
-
-        The words are packed to the module bit matrix inline (cheap) and
-        the result rides the same batched bits path.
-        """
-        bits = streams_to_bits(served.module, words)
-        return await self.estimate_bits(served, bits)
-
     def _flush(self, key: Tuple[str, int, bool, str], reason: str) -> None:
-        queue = self._queues.get(key)
-        if queue is None or not queue.pending:
-            return
-        if queue.timer is not None:
-            queue.timer.cancel()
-            queue.timer = None
-        batch = queue.pending
-        queue.pending = []
+        queue = self._queues[key]
+        if not queue.futures:
+            return  # already flushed by drain()
+        matrices, futures = queue.bits, queue.futures
+        queue.bits, queue.futures = [], []
         self.metrics.batch_flush_total.inc(reason=reason)
-        self.metrics.batch_size.observe(len(batch))
-        loop = asyncio.get_running_loop()
-        # Executor threads do not inherit contextvars — tracing.wrap
-        # captures the flusher's context (size-triggered flushes run in
-        # the requester's context, timeout flushes in the loop's) so the
-        # batch.flush span lands in the active trace, if any.
-        task = loop.run_in_executor(
-            self.executor,
-            tracing.wrap(
-                self._compute, queue.served, [p.bits for p in batch], reason
-            ),
-        )
-        task.add_done_callback(
-            lambda done, batch=batch: self._deliver(done, batch)
-        )
-
-    def _compute(
-        self, served: ServedModel, matrices: List[np.ndarray],
-        reason: str = "size",
-    ) -> List[EstimationResult]:
-        with tracing.span(
-            "batch.flush", model=served.name, size=len(matrices),
-            reason=reason,
-        ):
-            results = served.estimator.estimate_batch_from_bits(matrices)
-        cycles = sum(max(m.shape[0] - 1, 0) for m in matrices)
-        EVENTS.batch_cycles.inc(cycles)
-        EVENTS.batch_requests.inc(len(matrices))
-        return results
-
-    @staticmethod
-    def _deliver(done: "asyncio.Future", batch: List[_Pending]) -> None:
-        error = done.exception()
-        if error is not None:
-            for pending in batch:
-                if not pending.future.done():
-                    pending.future.set_exception(error)
+        self.metrics.batch_size.observe(len(futures))
+        try:
+            with tracing.span(
+                "batch.flush", model=queue.served.name, size=len(futures),
+                reason=reason,
+            ):
+                results = queue.served.estimator.estimate_batch_from_bits(
+                    matrices
+                )
+        except Exception as error:  # noqa: BLE001 — every waiter fails
+            for future in futures:
+                if not future.done():
+                    future.set_exception(error)
             return
-        for pending, result in zip(batch, done.result()):
-            if not pending.future.done():
-                pending.future.set_result(result)
+        EVENTS.batch_cycles.inc(sum(max(m.shape[0] - 1, 0)
+                                    for m in matrices))
+        EVENTS.batch_requests.inc(len(matrices))
+        for future, result in zip(futures, results):
+            if not future.done():
+                future.set_result(result)
 
     # ------------------------------------------------------------------
     # Direct (analytic) fast paths — no queueing
@@ -211,16 +138,15 @@ class MicroBatcher:
         )
 
     # ------------------------------------------------------------------
-    async def drain(self) -> None:
-        """Flush every pending batch immediately (server shutdown)."""
+    def drain(self) -> None:
+        """Flush every pending batch now (server shutdown)."""
         for key in list(self._queues):
             self._flush(key, "drain")
-        # Yield so executor callbacks can deliver before the loop closes.
-        await asyncio.sleep(0)
 
     @property
     def pending_requests(self) -> int:
-        return sum(len(q.pending) for q in self._queues.values())
+        """Requests waiting for this tick's flush (0 between ticks)."""
+        return sum(len(q.futures) for q in self._queues.values())
 
 
 def streams_to_bits(

@@ -181,7 +181,7 @@ class ServeFleet:
         workers: Number of worker processes.
         server_options: Keyword arguments forwarded to each worker's
             :class:`~repro.serve.server.EstimationServer` (``max_queue``,
-            ``jobs``, ``max_batch``, ``batch_wait``, ...).
+            ``request_timeout``, ``jobs``, ``max_sessions``, ...).
         drain_timeout: Per-worker graceful-drain budget on stop.
 
     Usage::

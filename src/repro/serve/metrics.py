@@ -17,7 +17,7 @@ and call sites keep working; they are no longer independent series.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from typing import Dict, List, Mapping
 
 from ..obs.events import (  # noqa: F401  (re-exports: public back-compat)
     BATCH_SIZE_BUCKETS,
@@ -121,16 +121,14 @@ class ServeMetrics:
         self.engine_cycles_total = EVENTS.batch_cycles
         self.engine_requests_total = EVENTS.batch_requests
 
-    def note_trace(self, ctx: Any) -> None:
+    def note_trace(self, summary: Dict[str, Dict[str, float]]) -> None:
         """Record a traced request: bump the counter, refresh the exemplar.
 
-        ``ctx`` is a :class:`repro.obs.TraceContext`; the per-span-name
-        totals of this trace overwrite the previous exemplar gauges.
+        ``summary`` is the trace's :func:`repro.obs.export.span_summary`;
+        its per-span-name totals overwrite the previous exemplar gauges.
         """
-        from ..obs.export import span_summary
-
         self.traced_requests_total.inc()
-        for name, entry in span_summary(ctx).items():
+        for name, entry in summary.items():
             self.trace_span_seconds.set(entry["total_s"], span=name)
 
     def render(self) -> str:

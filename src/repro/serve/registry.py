@@ -22,8 +22,9 @@ blocks on the leader's result instead of launching a duplicate simulation.
 A *failed* leader never poisons the key: its in-flight slot is removed
 under the lock before the error propagates, and every waiting follower
 retries from scratch (one of them becomes the next leader) instead of
-re-raising the stale error or hanging.  The registry is thread-safe — the
-asyncio server calls it from executor threads.
+re-raising the stale error or hanging.  The registry is thread-safe: the
+asyncio server answers resident models on its event loop through
+:meth:`ModelRegistry.lookup` and loads misses on executor threads.
 """
 
 from __future__ import annotations
@@ -176,6 +177,40 @@ class ModelRegistry:
             return "exact" if width <= self.max_exact_width else "regressed"
         return mode
 
+    def _key(
+        self, kind: str, width: int, enhanced: bool, mode: str
+    ) -> Tuple[str, int, bool, str]:
+        """The registry key of a request; raises the request's 4xx errors."""
+        if width >= 1:
+            kind = self.canonicalize(kind, width)
+        resolved = self.resolve_mode(kind, width, mode)
+        if resolved == "regressed" and enhanced:
+            raise RegistryError(
+                "the width regression parameterizes basic models only; "
+                "request enhanced=false or an exact width"
+            )
+        return kind, int(width), bool(enhanced), resolved
+
+    def lookup(
+        self,
+        kind: str,
+        width: int,
+        enhanced: bool = False,
+        mode: str = "auto",
+    ) -> Optional[ServedModel]:
+        """The resident model for this request, or ``None`` on a miss.
+
+        Never loads: it takes only the lock, so the server calls it on
+        the event loop and sends just the misses to :meth:`get` on a
+        load thread.  Raises the same errors as :meth:`get`.
+        """
+        key = self._key(kind, width, enhanced, mode)
+        with self._lock:
+            model = self._models.get(key)
+            if model is not None:
+                self.metrics.registry_lookups_total.inc(result="memory")
+            return model
+
     def get(
         self,
         kind: str,
@@ -188,15 +223,8 @@ class ModelRegistry:
         Blocking; safe to call from many threads at once.  Exactly one
         caller per distinct key does the expensive work.
         """
-        if width >= 1:
-            kind = self.canonicalize(kind, width)
-        resolved = self.resolve_mode(kind, width, mode)
-        if resolved == "regressed" and enhanced:
-            raise RegistryError(
-                "the width regression parameterizes basic models only; "
-                "request enhanced=false or an exact width"
-            )
-        key = (kind, int(width), bool(enhanced), resolved)
+        key = self._key(kind, width, enhanced, mode)
+        kind, width, enhanced, resolved = key
         while True:
             with self._lock:
                 model = self._models.get(key)

@@ -3,8 +3,9 @@
 The online half of the characterize-once/evaluate-many contract: models
 materialize through the :class:`~repro.serve.registry.ModelRegistry`
 (memory → disk cache → characterize → width regression) and queries are
-answered by cheap Hd-class lookups and analytic DBT statistics, coalesced
-per model by the :class:`~repro.serve.batching.MicroBatcher`.
+answered by cheap Hd-class lookups and analytic DBT statistics on the
+event loop, trace requests coalesced per model and loop tick by the
+:class:`~repro.serve.batching.MicroBatcher`.
 
 Endpoints (protocol reference: docs/SERVING.md):
 
@@ -26,9 +27,11 @@ Operational behavior:
 
 * **Backpressure** — at most ``max_queue`` estimation requests are
   admitted at once; the rest get ``429`` with a ``Retry-After`` header
-  instead of unbounded queueing.
-* **Deadlines** — every request runs under ``request_timeout`` seconds;
-  expiry answers ``504 deadline_exceeded``.
+  instead of unbounded queueing.  Warm estimates and appends finish in
+  their own tick, so the slots are held by requests waiting on a model
+  load or session create.
+* **Deadlines** — a model load or session create waits at most
+  ``request_timeout`` seconds; expiry answers ``504 deadline_exceeded``.
 * **Validation** — malformed requests get structured
   ``{"error": {"code", "message"}}`` bodies, never stack traces.
 * **Graceful drain** — SIGTERM/SIGINT stops accepting, answers ``503``
@@ -45,14 +48,15 @@ import signal
 import socket as socket_module
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
 from ..modules.library import module_kinds
 from ..modules.spec import UnknownModuleError, resolve_spec
 from ..obs import tracing
 from ..obs.export import chrome_trace, span_summary
-from .batching import MicroBatcher
+from .batching import MicroBatcher, streams_to_bits
 from .metrics import ServeMetrics
 from .registry import (
     CharacterizationFailed,
@@ -256,9 +260,9 @@ class EstimationServer:
             ``SO_REUSEPORT`` (or fork-inherited) socket here.
         max_queue: Admission limit on concurrent estimation requests.
         request_timeout: Per-request deadline in seconds.
-        jobs: Worker threads for estimation flushes and model loads.
-        max_batch/batch_wait: Flush bounds for the default batcher
-            (ignored when an explicit ``batcher`` is passed).
+        jobs: Worker threads for model loads, session creates and
+            self-check sessions (warm estimates and plain session appends
+            run on the event loop).
         worker_id: Fleet worker id (0 standalone) — embedded in session
             ids so a wrong-worker access clean-rejects with a hint.
         max_sessions/max_session_rows/session_ttl: Streaming-session
@@ -279,8 +283,6 @@ class EstimationServer:
         max_queue: int = 256,
         request_timeout: float = 30.0,
         jobs: int = 2,
-        max_batch: Optional[int] = None,
-        batch_wait: Optional[float] = None,
         worker_id: int = 0,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         max_session_rows: int = DEFAULT_MAX_SESSION_ROWS,
@@ -291,26 +293,10 @@ class EstimationServer:
             raise ValueError("max_queue must be >= 1")
         self.registry = registry
         self.metrics = metrics or registry.metrics
-        self._compute_pool = ThreadPoolExecutor(
-            max_workers=max(1, jobs), thread_name_prefix="serve-compute"
-        )
         self._load_pool = ThreadPoolExecutor(
             max_workers=max(1, jobs), thread_name_prefix="serve-load"
         )
-        if batcher is None:
-            from .batching import DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT
-
-            batcher = MicroBatcher(
-                executor=self._compute_pool,
-                max_batch=(
-                    DEFAULT_MAX_BATCH if max_batch is None else max_batch
-                ),
-                max_wait=(
-                    DEFAULT_MAX_WAIT if batch_wait is None else batch_wait
-                ),
-                metrics=self.metrics,
-            )
-        self.batcher = batcher
+        self.batcher = batcher or MicroBatcher(metrics=self.metrics)
         self.host = host
         self.port = port
         self._sock = sock
@@ -319,8 +305,6 @@ class EstimationServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._in_flight = 0
         self._draining = False
-        self._idle = asyncio.Event()
-        self._idle.set()
         # Every open client connection, plus how many of them are mid
         # request (head read through response written): drain uses the
         # first to force-close stragglers and the second to know when it
@@ -392,7 +376,7 @@ class EstimationServer:
         deadline = loop.time() + float(timeout)
         if self._server is not None:
             self._server.close()
-        await self.batcher.drain()
+        self.batcher.drain()
         try:
             # Until the head of a request is read a connection is idle;
             # _quiet covers dispatch *and* the response write, so waiting
@@ -417,7 +401,6 @@ class EstimationServer:
                 )
             except asyncio.TimeoutError:
                 pass
-        self._compute_pool.shutdown(wait=False)
         self._load_pool.shutdown(wait=False)
 
     def _snapshot_sessions(self) -> None:
@@ -592,20 +575,22 @@ class EstimationServer:
         if not traced:
             return await self._dispatch_inner(request)
         # X-Repro-Trace: activate a trace for this request's lifetime.
-        # contextvars flow into the awaited estimation path (and into
-        # wait_for's task); executor hops are covered by tracing.wrap in
-        # _get_model and the batcher.
+        # contextvars flow into the awaited estimation path, and call_soon
+        # carries them into the batcher's flush; model loads and session
+        # creates (and self-check sessions) on the load pool are covered
+        # by tracing.wrap in _load.
         with tracing.trace(
             "serve.request", method=request.method, path=request.path
         ) as ctx:
             status, payload, extra = await self._dispatch_inner(request)
-        self.metrics.note_trace(ctx)
+        summary = span_summary(ctx)
+        self.metrics.note_trace(summary)
         if isinstance(payload, dict):
             payload = dict(payload)
             payload["trace"] = {
                 "trace_id": ctx.trace_id,
-                "spans": span_summary(ctx),
-                "chrome": chrome_trace(ctx),
+                "spans": summary,
+                "chrome": chrome_trace(ctx, counters=False),
             }
         return status, payload, extra
 
@@ -678,14 +663,13 @@ class EstimationServer:
     # ------------------------------------------------------------------
     # Estimation endpoints
     # ------------------------------------------------------------------
-    async def _admit(self, work) -> Any:
+    @contextmanager
+    def _admitted(self) -> Iterator[None]:
         """Admission control shared by estimation and session endpoints.
 
-        ``work`` is a zero-argument callable returning the awaitable (a
-        factory, so nothing is scheduled when admission itself rejects):
-        draining answers 503, a full queue 429, and the per-request
-        deadline 504 — identical semantics on every compute-bearing
-        route.
+        Draining answers 503 and a full queue 429 (identical semantics on
+        every compute-bearing route); an admitted request holds one of
+        the ``max_queue`` slots until it is answered.
         """
         if self._draining:
             raise ApiError(503, "draining", "server is draining",
@@ -697,106 +681,105 @@ class EstimationServer:
                 {"Retry-After": "0.05"},
             )
         self._in_flight += 1
-        self._idle.clear()
         self.metrics.in_flight.set(self._in_flight)
         try:
-            return await asyncio.wait_for(work(), self.request_timeout)
+            yield
+        finally:
+            self._in_flight -= 1
+            self.metrics.in_flight.set(self._in_flight)
+
+    async def _load(self, fn, *args) -> Any:
+        """Run a blocking model load, session create or self-check session
+        operation on the load pool, under the per-request deadline (504
+        past it).
+
+        Executor threads do not inherit contextvars, so ``tracing.wrap``
+        carries a traced request's context across.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            return await asyncio.wait_for(
+                loop.run_in_executor(
+                    self._load_pool, tracing.wrap(fn, *args)
+                ),
+                self.request_timeout,
+            )
         except asyncio.TimeoutError:
             raise ApiError(
                 504, "deadline_exceeded",
                 f"request exceeded {self.request_timeout:.3f}s deadline",
             )
-        finally:
-            self._in_flight -= 1
-            self.metrics.in_flight.set(self._in_flight)
-            if self._in_flight == 0:
-                self._idle.set()
 
     async def _estimate(
         self, endpoint: str, request: _Request
     ) -> Tuple[int, Any, Dict[str, str]]:
-        payload = request.json()
-        return await self._admit(
-            lambda: self._estimate_inner(endpoint, payload)
-        )
+        with tracing.span("serve.parse"):
+            payload = request.json()
+            kind, width, enhanced, deprecations = _parse_module(payload)
+            calibration = _parse_calibration(payload)
+        with self._admitted():
+            served = await self._get_model(
+                kind, width, enhanced, payload.get("mode", "auto")
+            )
+            if endpoint in ("bits", "streams"):
+                with tracing.span("serve.parse"):
+                    bits = self._parse_trace(endpoint, payload, served.module)
+                result = await self.batcher.estimate_bits(served, bits)
+            else:
+                result = self._estimate_direct(endpoint, payload, served)
 
-    async def _estimate_inner(
-        self, endpoint: str, payload: Dict[str, Any]
-    ) -> Tuple[int, Any, Dict[str, str]]:
-        kind, width, enhanced, deprecations = _parse_module(payload)
-        mode = payload.get("mode", "auto")
-        calibration = _parse_calibration(payload)
-        served = await self._get_model(kind, width, enhanced, mode)
+        with tracing.span("serve.respond"):
+            body: Dict[str, Any] = {
+                "average_charge": result.average_charge,
+                "method": result.method,
+                "model": served.name,
+                "source": served.source,
+                "input_bits": served.module.input_bits,
+            }
+            if result.cycle_charge is not None:
+                body["n_cycles"] = int(len(result.cycle_charge))
+                if payload.get("per_cycle"):
+                    body["cycle_charge"] = result.cycle_charge.tolist()
+            physical = calibration.physical_block(
+                result.average_charge, netlist=served.module
+            )
+            if physical is not None:
+                body["physical"] = physical
+            if deprecations:
+                body["deprecations"] = deprecations
+        headers = {} if "module" in payload else dict(_DEPRECATION_HEADER)
+        return 200, body, headers
 
-        if endpoint == "bits":
-            bits = self._parse_bits(payload, served.module.input_bits)
-            result = await self.batcher.estimate_bits(served, bits)
-        elif endpoint == "streams":
-            words = payload.get("words")
-            if (not isinstance(words, list)
-                    or not all(isinstance(w, list) for w in words)):
-                raise ApiError(
-                    400, "bad_request",
-                    "'words' must be a list of per-operand integer lists",
-                )
-            if words and any(len(w) > MAX_TRACE_ROWS for w in words):
-                raise ApiError(413, "too_large",
-                               f"trace longer than {MAX_TRACE_ROWS} words")
-            try:
-                result = await self.batcher.estimate_streams(served, words)
-            except ValueError as error:
-                raise ApiError(400, "bad_request", str(error))
-        elif endpoint == "distribution":
+    def _estimate_direct(self, endpoint: str, payload: Dict[str, Any],
+                         served) -> Any:
+        """The analytic endpoints: validated and answered inline."""
+        if endpoint == "distribution":
             distribution = payload.get("distribution")
             if not isinstance(distribution, list) or not distribution:
                 raise ApiError(400, "bad_request",
                                "'distribution' (list of floats) required")
             try:
-                result = self.batcher.estimate_distribution(
+                return self.batcher.estimate_distribution(
                     served, distribution
                 )
             except (TypeError, ValueError) as error:
                 raise ApiError(400, "bad_request", str(error))
-        else:  # analytic
-            stats = payload.get("operand_stats")
-            if (not isinstance(stats, list)
-                    or not all(isinstance(s, dict) for s in stats)):
-                raise ApiError(
-                    400, "bad_request",
-                    "'operand_stats' must be a list of "
-                    "{mean, variance, rho} objects",
-                )
-            try:
-                result = self.batcher.estimate_analytic(
-                    served, stats,
-                    use_distribution=bool(
-                        payload.get("use_distribution", True)
-                    ),
-                )
-            except (KeyError, TypeError, ValueError) as error:
-                raise ApiError(400, "bad_request",
-                               f"invalid operand_stats: {error}")
-
-        body: Dict[str, Any] = {
-            "average_charge": result.average_charge,
-            "method": result.method,
-            "model": served.name,
-            "source": served.source,
-            "input_bits": served.module.input_bits,
-        }
-        if result.cycle_charge is not None:
-            body["n_cycles"] = int(len(result.cycle_charge))
-            if payload.get("per_cycle"):
-                body["cycle_charge"] = result.cycle_charge.tolist()
-        physical = calibration.physical_block(
-            result.average_charge, netlist=served.module
-        )
-        if physical is not None:
-            body["physical"] = physical
-        if deprecations:
-            body["deprecations"] = deprecations
-        headers = {} if "module" in payload else dict(_DEPRECATION_HEADER)
-        return 200, body, headers
+        stats = payload.get("operand_stats")
+        if (not isinstance(stats, list)
+                or not all(isinstance(s, dict) for s in stats)):
+            raise ApiError(
+                400, "bad_request",
+                "'operand_stats' must be a list of "
+                "{mean, variance, rho} objects",
+            )
+        try:
+            return self.batcher.estimate_analytic(
+                served, stats,
+                use_distribution=bool(payload.get("use_distribution", True)),
+            )
+        except (KeyError, TypeError, ValueError) as error:
+            raise ApiError(400, "bad_request",
+                           f"invalid operand_stats: {error}")
 
     # ------------------------------------------------------------------
     # Streaming session endpoints (docs/SERVING.md "Streaming sessions")
@@ -804,19 +787,18 @@ class EstimationServer:
     async def _session(
         self, endpoint: str, request: _Request, session_id: Optional[str]
     ) -> Tuple:  # (status, body[, extra headers])
-        loop = asyncio.get_running_loop()
         if endpoint == "session_create":
-            payload = request.json()
-            kind, width, enhanced, deprecations = _parse_module(payload)
-            try:
-                check_prefix = int(payload.get("check_prefix", 8))
-            except (TypeError, ValueError, OverflowError):
-                raise ApiError(400, "bad_request",
-                               "'check_prefix' must be an integer")
-            calibration = _parse_calibration(payload)
-            estimate = await self._admit(lambda: loop.run_in_executor(
-                self._load_pool,
-                tracing.wrap(
+            with tracing.span("serve.parse"):
+                payload = request.json()
+                kind, width, enhanced, deprecations = _parse_module(payload)
+                try:
+                    check_prefix = int(payload.get("check_prefix", 8))
+                except (TypeError, ValueError, OverflowError):
+                    raise ApiError(400, "bad_request",
+                                   "'check_prefix' must be an integer")
+                calibration = _parse_calibration(payload)
+            with self._admitted():
+                estimate = await self._load(
                     self._session_call, self.sessions.create,
                     kind, width,
                     enhanced,
@@ -824,8 +806,7 @@ class EstimationServer:
                     bool(payload.get("self_check", False)),
                     check_prefix,
                     calibration,
-                ),
-            ))
+                )
             self.metrics.sessions_created_total.inc()
             self.metrics.sessions_open.set(len(self.sessions))
             body = estimate.to_dict()
@@ -837,39 +818,55 @@ class EstimationServer:
             return 201, body, headers
 
         if endpoint == "session_append":
-            payload = request.json()
-            rows = payload.get("bits")
-            if not isinstance(rows, list):
-                raise ApiError(
-                    400, "bad_request",
-                    "'bits' must be a (possibly empty) list of 0/1 rows",
+            with tracing.span("serve.parse"):
+                payload = request.json()
+                rows = payload.get("bits")
+                if not isinstance(rows, list):
+                    raise ApiError(
+                        400, "bad_request",
+                        "'bits' must be a (possibly empty) list of 0/1 rows",
+                    )
+                if len(rows) > MAX_TRACE_ROWS:
+                    raise ApiError(
+                        413, "too_large",
+                        f"segment longer than {MAX_TRACE_ROWS} rows",
+                    )
+            with self._admitted():
+                estimate = await self._session_op(
+                    self.sessions.append, session_id, rows
                 )
-            if len(rows) > MAX_TRACE_ROWS:
-                raise ApiError(413, "too_large",
-                               f"segment longer than {MAX_TRACE_ROWS} rows")
-            estimate = await self._admit(lambda: loop.run_in_executor(
-                self._compute_pool,
-                tracing.wrap(
-                    self._session_call, self.sessions.append,
-                    session_id, rows,
-                ),
-            ))
             self.metrics.session_appends_total.inc()
             self.metrics.session_rows_total.inc(len(rows))
-            return 200, estimate.to_dict()
+            with tracing.span("serve.respond"):
+                return 200, estimate.to_dict()
 
-        # get/finalize: cheap accumulator reads — answered inline, but
-        # still refused while draining (the snapshot owns the state then).
+        # get/finalize: accumulator reads, not admitted, but still
+        # refused while draining (the snapshot owns the state then).
         if self._draining:
             raise ApiError(503, "draining", "server is draining",
                            {"Retry-After": "1"})
         if endpoint == "session_get":
-            estimate = self._session_call(self.sessions.get, session_id)
+            estimate = await self._session_op(self.sessions.get, session_id)
             return 200, estimate.to_dict()
-        estimate = self._session_call(self.sessions.finalize, session_id)
+        estimate = await self._session_op(self.sessions.finalize, session_id)
         self.metrics.sessions_closed_total.inc(reason="finalized")
         self.metrics.sessions_open.set(len(self.sessions))
         return 200, estimate.to_dict()
+
+    async def _session_op(self, method, session_id: str, *args):
+        """One SessionStore operation on ``session_id``.
+
+        A plain session answers inline on the loop: an append costs less
+        than decoding its body did, and its lock is only taken here.  A
+        self-check session runs the pure-Python gate-level oracle on
+        every append while holding its lock, so all of its operations go
+        to the load pool under the deadline and the loop stays free.
+        """
+        if self.sessions.self_checking(session_id):
+            return await self._load(
+                self._session_call, method, session_id, *args
+            )
+        return self._session_call(method, session_id, *args)
 
     def _session_call(self, method, *args):
         """Run one SessionStore operation, mapping failures to ApiErrors."""
@@ -896,21 +893,45 @@ class EstimationServer:
             raise ApiError(400, "bad_request", str(error))
 
     async def _get_model(self, kind, width, enhanced, mode):
-        loop = asyncio.get_running_loop()
-        try:
-            # Explicit context handoff: executor threads do not inherit
-            # contextvars, so a traced request's registry spans would be
-            # lost without the wrap.
-            return await loop.run_in_executor(
-                self._load_pool,
-                tracing.wrap(self.registry.get, kind, width, enhanced, mode),
+        """The model for a request: resident models are answered inline,
+        only a miss waits on the load pool."""
+        with tracing.span("serve.model"):
+            try:
+                served = self.registry.lookup(kind, width, enhanced, mode)
+                if served is None:
+                    served = await self._load(
+                        self.registry.get, kind, width, enhanced, mode
+                    )
+            except UnknownKindError as error:
+                raise ApiError(404, "unknown_kind", str(error))
+            except CharacterizationFailed as error:
+                raise ApiError(500, "characterization_failed", str(error))
+            except RegistryError as error:
+                raise ApiError(400, "bad_request", str(error))
+        return served
+
+    def _parse_trace(self, endpoint: str, payload: Dict[str, Any], module):
+        """The ``[n >= 2, input_bits]`` bool matrix of a trace request."""
+        if endpoint == "bits":
+            return self._parse_bits(payload, module.input_bits)
+        words = payload.get("words")
+        if (not isinstance(words, list)
+                or not all(isinstance(w, list) for w in words)):
+            raise ApiError(
+                400, "bad_request",
+                "'words' must be a list of per-operand integer lists",
             )
-        except UnknownKindError as error:
-            raise ApiError(404, "unknown_kind", str(error))
-        except CharacterizationFailed as error:
-            raise ApiError(500, "characterization_failed", str(error))
-        except RegistryError as error:
+        if words and any(len(w) > MAX_TRACE_ROWS for w in words):
+            raise ApiError(413, "too_large",
+                           f"trace longer than {MAX_TRACE_ROWS} words")
+        try:
+            bits = streams_to_bits(module, words)
+        except ValueError as error:
             raise ApiError(400, "bad_request", str(error))
+        if bits.shape[0] < 2:
+            raise ApiError(400, "bad_request",
+                           "'words' must hold >= 2 words per operand")
+        return bits
 
     def _parse_bits(self, payload: Dict[str, Any], input_bits: int):
         rows = payload.get("bits")

@@ -393,9 +393,10 @@ class _SessionSlot:
 class SessionStore:
     """Per-session accumulator state with TTL, budgets and drain survival.
 
-    Thread-safe: the asyncio server appends from executor threads.  A
-    per-session lock serializes appends to one session while different
-    sessions proceed concurrently.
+    Thread-safe: the asyncio server appends to plain sessions on its
+    event loop, and creates sessions and serves self-check sessions on
+    load threads.  A per-session lock serializes appends to one session
+    while different sessions proceed concurrently.
 
     Args:
         resolver: ``(kind, width, enhanced, mode) -> ServedModel`` — a
@@ -485,9 +486,9 @@ class SessionStore:
         """Feed one segment into a session; returns the running estimate."""
         slot = self._slot(session_id)
         with slot.lock:
-            n_new = int(np.asarray(bits).shape[0]) if np.asarray(
-                bits
-            ).size else 0
+            with span("session.parse"):
+                bits = bit_matrix(bits, slot.stream.width)
+            n_new = bits.shape[0]
             if slot.stream.n_rows + n_new > self.max_session_rows:
                 raise SessionBudgetError(
                     "session_rows_budget",
@@ -538,6 +539,14 @@ class SessionStore:
     def __contains__(self, session_id: str) -> bool:
         with self._lock:
             return session_id in self._sessions
+
+    def self_checking(self, session_id: str) -> bool:
+        """Whether an open session re-simulates its appends against the
+        gate-level oracle (False for an unknown id, whose operations
+        fail fast)."""
+        with self._lock:
+            slot = self._sessions.get(session_id)
+        return slot is not None and slot.stream.self_check
 
     def stats(self) -> Dict[str, Any]:
         """Store rollup for ``/healthz``."""

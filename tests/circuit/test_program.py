@@ -13,6 +13,8 @@ canonicalization, plane decoding, LUT folding, and the native-vs-numpy
 relaxation equivalence.
 """
 
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,23 @@ def test_library_path_tracks_flags_and_compiler():
     assert library_path("/usr/bin/cc", CFLAGS + ("-g",)) != base
     assert library_path("/usr/bin/cc", ("-O2", "-shared", "-fPIC")) != base
     assert library_path("/usr/bin/clang", CFLAGS) != base
+
+
+def test_native_source_compiles_without_warnings(tmp_path):
+    """The C kernel builds clean under ``-Wall -Wextra -pedantic
+    -std=c99 -Werror`` on top of the production flags (the warning flags
+    are this test's own; the runtime build does not use them)."""
+    cc = native_mod._compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    source = tmp_path / "kernel.c"
+    source.write_text(native_mod._SOURCE)
+    done = subprocess.run(
+        [cc, *CFLAGS, "-Wall", "-Wextra", "-pedantic", "-std=c99",
+         "-Werror", "-o", str(tmp_path / "kernel.so"), str(source)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,10 @@ def test_chrome_trace_structure_and_validation():
     assert validate_chrome(obj) == []
     assert obj["displayTimeUnit"] == "ms"
     assert obj["otherData"]["trace_id"] == ctx.trace_id
+    assert "repro_spans_recorded_total" in obj["otherData"]["counters"]
+    assert chrome_trace(ctx, counters=False)["otherData"] == {
+        "trace_id": ctx.trace_id
+    }
     events = obj["traceEvents"]
     assert len(events) == 5
     assert {e["ph"] for e in events} == {"X"}

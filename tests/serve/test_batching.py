@@ -1,4 +1,4 @@
-"""Micro-batcher: parity with direct calls, flush triggers, fast paths."""
+"""Micro-batcher: parity with direct calls, next-tick flushes, fast paths."""
 
 import asyncio
 
@@ -19,10 +19,12 @@ def _matrices(served, n, rows=16, seed=3):
     ]
 
 
-def test_size_flush_parity(served_adder4):
-    """A full batch flushes on size and matches direct calls to 1e-9."""
+def test_one_tick_one_flush_parity(served_adder4):
+    """Requests queued in one tick share one flush and match direct calls
+    to 1e-9."""
     matrices = _matrices(served_adder4, 8)
-    batcher = MicroBatcher(max_batch=8, max_wait=60.0)
+    batcher = MicroBatcher()
+    before = batcher.metrics.engine_requests_total.value()
 
     async def go():
         return await asyncio.gather(*(
@@ -30,8 +32,9 @@ def test_size_flush_parity(served_adder4):
         ))
 
     results = asyncio.run(go())
-    assert batcher.metrics.batch_flush_total.value(reason="size") == 1
-    assert batcher.metrics.batch_flush_total.value(reason="timeout") == 0
+    assert batcher.metrics.batch_flush_total.value(reason="tick") == 1
+    assert batcher.metrics.batch_size.count() == 1
+    assert batcher.metrics.engine_requests_total.value() - before == 8
     for matrix, result in zip(matrices, results):
         direct = served_adder4.estimator.estimate_from_bits(matrix)
         assert result.average_charge == pytest.approx(
@@ -42,30 +45,40 @@ def test_size_flush_parity(served_adder4):
         )
 
 
-def test_timeout_flush(served_adder4):
-    """An underfull batch flushes when the 2 ms window expires."""
-    matrices = _matrices(served_adder4, 3)
-    batcher = MicroBatcher(max_batch=64, max_wait=0.005)
-    # engine_requests_total now aliases the process-global shared counter
+def test_lone_request_flushes_without_timer(served_adder4):
+    """A lone request resolves on the next tick: no timer is armed."""
+    matrix = _matrices(served_adder4, 1)[0]
+    batcher = MicroBatcher()
+    # engine_requests_total aliases the process-global shared counter
     # (repro.obs EVENTS), so assert on the delta, not the absolute value.
     before = batcher.metrics.engine_requests_total.value()
 
     async def go():
-        return await asyncio.gather(*(
-            batcher.estimate_bits(served_adder4, m) for m in matrices
-        ))
+        loop = asyncio.get_running_loop()
+        armed = []
+        call_later = loop.call_later
+        loop.call_later = lambda *args: armed.append(args) or call_later(
+            *args
+        )
+        result = await batcher.estimate_bits(served_adder4, matrix)
+        return result, armed
 
-    results = asyncio.run(go())
-    assert len(results) == 3
-    assert batcher.metrics.batch_flush_total.value(reason="timeout") == 1
+    result, armed = asyncio.run(go())
+    assert armed == []
+    direct = served_adder4.estimator.estimate_from_bits(matrix)
+    assert result.average_charge == pytest.approx(
+        direct.average_charge, abs=1e-9
+    )
+    assert batcher.metrics.batch_flush_total.value(reason="tick") == 1
+    assert batcher.metrics.batch_flush_total.value(reason="timeout") == 0
     assert batcher.metrics.batch_size.count() == 1
-    assert batcher.metrics.engine_requests_total.value() - before == 3
+    assert batcher.metrics.engine_requests_total.value() - before == 1
 
 
 def test_drain_flush(served_adder4):
     """drain() flushes pending work immediately with reason=drain."""
     matrices = _matrices(served_adder4, 2)
-    batcher = MicroBatcher(max_batch=64, max_wait=60.0)
+    batcher = MicroBatcher()
 
     async def go():
         pending = [
@@ -74,12 +87,13 @@ def test_drain_flush(served_adder4):
         ]
         await asyncio.sleep(0)  # let the requests enqueue
         assert batcher.pending_requests == 2
-        await batcher.drain()
+        batcher.drain()
         return await asyncio.gather(*pending)
 
     results = asyncio.run(go())
     assert len(results) == 2
     assert batcher.metrics.batch_flush_total.value(reason="drain") == 1
+    assert batcher.metrics.batch_flush_total.value(reason="tick") == 0
     assert batcher.pending_requests == 0
 
 
@@ -87,7 +101,7 @@ def test_batch_error_propagates_to_all_waiters(served_adder4):
     """A bad matrix in the batch fails every request in that flush."""
     good = _matrices(served_adder4, 1)[0]
     bad = np.zeros((4, 3))  # wrong width
-    batcher = MicroBatcher(max_batch=2, max_wait=60.0)
+    batcher = MicroBatcher()
 
     async def go():
         return await asyncio.gather(
@@ -101,16 +115,18 @@ def test_batch_error_propagates_to_all_waiters(served_adder4):
 
 
 def test_streams_path_matches_bits_path(served_adder4):
+    """The streams route packs words with streams_to_bits, then rides the
+    batched bits path."""
     rng = np.random.default_rng(9)
     words = [
         rng.integers(*signed_range(w), endpoint=True, size=12).tolist()
         for _, w in served_adder4.module.operand_specs
     ]
     bits = streams_to_bits(served_adder4.module, words)
-    batcher = MicroBatcher(max_batch=1)
+    batcher = MicroBatcher()
 
     async def go():
-        return await batcher.estimate_streams(served_adder4, words)
+        return await batcher.estimate_bits(served_adder4, bits)
 
     result = asyncio.run(go())
     direct = served_adder4.estimator.estimate_from_bits(bits)
@@ -151,13 +167,6 @@ def test_analytic_fast_path(served_adder4):
         ],
     )
     assert result.average_charge == pytest.approx(direct.average_charge)
-
-
-def test_constructor_validation():
-    with pytest.raises(ValueError):
-        MicroBatcher(max_batch=0)
-    with pytest.raises(ValueError):
-        MicroBatcher(max_wait=-1)
 
 
 def test_batch_estimator_parity_enhanced():

@@ -8,6 +8,7 @@ No pytest-asyncio: the client side runs under ``asyncio.run``.
 import asyncio
 import json
 import re
+import threading
 import time
 
 import numpy as np
@@ -23,6 +24,7 @@ from .conftest import (
     burst,
     estimate_bodies,
     http_request,
+    request_full,
     request_once as request,
     request_raw,
 )
@@ -168,6 +170,37 @@ def test_validation_errors(server):
         assert status == 400, (path, payload, answer)
         assert answer["error"]["code"] == "bad_request"
         assert isinstance(answer["error"]["message"], str)
+
+
+def test_short_streams_request_never_fails_its_batch(server):
+    """A one-word streams request parsed in the same tick as a good bits
+    request is rejected on its own; it never reaches the shared flush."""
+    from repro.serve.server import _Request
+
+    def post(path, payload):
+        return _Request("POST", path, {}, json.dumps(payload).encode())
+
+    bits = _bits()
+    requests = [
+        post("/v1/estimate/bits", {"kind": KIND, "width": WIDTH,
+                                   "bits": bits}),
+        post("/v1/estimate/streams", {"kind": KIND, "width": WIDTH,
+                                      "words": [[1], [2]]}),
+    ]
+
+    # A private front-end on the shared registry: dispatched in-process,
+    # both requests are parsed in one tick of this loop.
+    instance = EstimationServer(server.server.registry)
+
+    async def together():
+        return await asyncio.gather(
+            *(instance._dispatch(r) for r in requests)
+        )
+
+    (good, _, _), (short, answer, _) = asyncio.run(together())
+    assert good == 200
+    assert short == 400
+    assert answer["error"]["code"] == "bad_request"
 
 
 def test_unknown_kind_is_404(server):
@@ -356,63 +389,89 @@ def test_cache_backed_mixed_burst(tmp_path):
     assert not thread._thread.is_alive()
 
 
+class _GatedRegistry(ModelRegistry):
+    """A registry whose cold loads block until ``gate`` is set.
+
+    Warm estimates finish within their own loop tick, so the routes that
+    can hold a queue slot or outlive a deadline are the ones that wait on
+    a model load; ``entered`` is set once a load is blocked on the gate.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def _materialize_exact(self, *args):
+        self.entered.set()
+        self.gate.wait(SOCKET_TIMEOUT)
+        return super()._materialize_exact(*args)
+
+
 def test_backpressure_429_instead_of_stalling():
     """Over-queue load is rejected with 429 + Retry-After, never stalls."""
-    registry = ModelRegistry(config=CONFIG, cache=None)
-    registry.get(KIND, WIDTH)
-    instance = EstimationServer(
-        registry, max_queue=2, jobs=1, batch_wait=0.05
-    )
+    registry = _GatedRegistry(config=CONFIG, cache=None)
+    instance = EstimationServer(registry, max_queue=2, jobs=1)
+
+    def open_gate_after_rejections():
+        # Hold the cold load until the flood has been turned away.
+        deadline = time.monotonic() + SOCKET_TIMEOUT
+        while (instance.metrics.rejected_total.value(reason="queue_full")
+               < 20 and time.monotonic() < deadline):
+            time.sleep(0.005)
+        registry.gate.set()
+
     with ServerThread(instance) as thread:
         bodies = estimate_bodies(KIND, WIDTH, n=64, seed=9,
                                  families=("bits",))
+        opener = threading.Thread(target=open_gate_after_rejections)
+        opener.start()
         started = time.perf_counter()
         counts = burst(thread.port, bodies, n=100, concurrency=16)
         elapsed = time.perf_counter() - started
+        opener.join()
     assert counts[429] > 0, counts
+    assert counts[200] > 0, counts
     assert not [status for status in counts if status >= 500], counts
     assert elapsed < 30, f"flood stalled for {elapsed:.1f}s"
 
     # And the Retry-After header is actually on the wire.
-    instance2 = EstimationServer(
-        registry, max_queue=1, jobs=1, batch_wait=0.2
-    )
-
-    async def race():
-        r1, w1 = await asyncio.open_connection("127.0.0.1", thread2.port)
-        r2, w2 = await asyncio.open_connection("127.0.0.1", thread2.port)
-        body = json.dumps({
-            "kind": KIND, "width": WIDTH, "bits": _bits(rows=8),
-        }).encode()
-        try:
-            slow = asyncio.create_task(
-                http_request(r1, w1, "POST", "/v1/estimate/bits", body)
-            )
-            await asyncio.sleep(0.05)  # let it occupy the queue slot
-            status, _ = await http_request(
-                r2, w2, "POST", "/v1/estimate/bits", body
-            )
-            await slow
-            return status
-        finally:
-            w1.close()
-            w2.close()
-
+    registry2 = _GatedRegistry(config=CONFIG, cache=None)
+    instance2 = EstimationServer(registry2, max_queue=1, jobs=1)
+    body = {"kind": KIND, "width": WIDTH, "bits": _bits(rows=8)}
     with ServerThread(instance2) as thread2:
-        assert asyncio.run(race()) == 429
+        held = []
+        slow = threading.Thread(target=lambda: held.append(request(
+            thread2.port, "POST", "/v1/estimate/bits", body
+        )))
+        slow.start()
+        try:
+            # The first request occupies the only queue slot.
+            assert registry2.entered.wait(SOCKET_TIMEOUT)
+            status, answer, headers = request_full(
+                thread2.port, "POST", "/v1/estimate/bits", body
+            )
+        finally:
+            registry2.gate.set()
+            slow.join()
+    assert status == 429
+    assert answer["error"]["code"] == "queue_full"
+    assert headers["Retry-After"] == "0.05"
+    assert held[0][0] == 200
 
 
 def test_deadline_yields_504():
-    registry = ModelRegistry(config=CONFIG, cache=None)
-    registry.get(KIND, WIDTH)
-    # Deadline far below the batch window: the request must time out.
-    instance = EstimationServer(
-        registry, request_timeout=0.01, batch_wait=0.5, jobs=1
-    )
-    with ServerThread(instance) as thread:
-        status, answer = request(thread.port, "POST", "/v1/estimate/bits", {
-            "kind": KIND, "width": WIDTH, "bits": _bits(rows=8),
-        })
+    registry = _GatedRegistry(config=CONFIG, cache=None)
+    # A cold load held far past the deadline: the request must time out.
+    instance = EstimationServer(registry, request_timeout=0.01, jobs=1)
+    try:
+        with ServerThread(instance) as thread:
+            status, answer = request(
+                thread.port, "POST", "/v1/estimate/bits",
+                {"kind": KIND, "width": WIDTH, "bits": _bits(rows=8)},
+            )
+    finally:
+        registry.gate.set()
     assert status == 504
     assert answer["error"]["code"] == "deadline_exceeded"
 
@@ -512,9 +571,15 @@ def test_traced_request_returns_span_summary_and_chrome(server):
     assert trace["trace_id"]
     spans = trace["spans"]
     assert "serve.request" in spans
-    assert "batch.flush" in spans  # thread-pool handoff kept the context
+    assert "batch.flush" in spans  # call_soon carried the context along
     assert spans["serve.request"]["count"] == 1
+    # Decode and module fields, then the bit check once the model is known.
+    assert spans["serve.parse"]["count"] == 2
+    assert spans["serve.model"]["count"] == 1
+    assert spans["serve.respond"]["count"] == 1
     assert validate_chrome(trace["chrome"]) == []
+    # Process-wide counters stay on /metrics, out of the per-request trace.
+    assert trace["chrome"]["otherData"] == {"trace_id": trace["trace_id"]}
 
     # The traced exemplar also lands on /metrics.
     status, page = request(server.port, "GET", "/metrics")

@@ -12,6 +12,8 @@ Three layers, cheapest first:
 
 import asyncio
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -340,6 +342,84 @@ def test_self_check_session_accepts_honest_model(session_server):
     assert status == 200
     assert running["self_checked_transitions"] > 0
     request_once(port, "DELETE", f"/v1/sessions/{sid}")
+
+
+#: How long a gated oracle holds a self-check append.
+ORACLE_HOLD = 10.0
+
+
+@pytest.fixture()
+def gated_oracle(monkeypatch):
+    """Make every self-check oracle call block until ``gate`` is set (or
+    :data:`ORACLE_HOLD` passes), standing in for a long ``check_prefix``;
+    ``entered`` is set once an append is inside the oracle."""
+    from repro.verify import oracles
+
+    gate, entered = threading.Event(), threading.Event()
+    verify = oracles.verify_trace_prefix
+
+    def held(*args, **kwargs):
+        entered.set()
+        gate.wait(ORACLE_HOLD)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "verify_trace_prefix", held)
+    yield gate, entered
+    gate.set()
+
+
+def _self_check_session(port):
+    status, created = request_once(port, "POST", "/v1/sessions", {
+        "kind": KIND, "width": WIDTH, "self_check": True, "check_prefix": 4,
+    })
+    assert status == 201
+    return created["session_id"]
+
+
+def test_self_check_append_leaves_the_loop_free(session_server,
+                                                gated_oracle):
+    """The oracle of a self-check append runs off the event loop: while
+    it is held, /healthz still answers at once."""
+    gate, entered = gated_oracle
+    port = session_server.port
+    sid = _self_check_session(port)
+    answers = []
+    append = threading.Thread(target=lambda: answers.append(request_once(
+        port, "POST", f"/v1/sessions/{sid}/append",
+        {"bits": _bits(12, seed=8).tolist()},
+    )))
+    append.start()
+    try:
+        assert entered.wait(SOCKET_TIMEOUT)
+        started = time.monotonic()
+        status, health = request_once(port, "GET", "/healthz")
+        elapsed = time.monotonic() - started
+        still_held = append.is_alive()
+    finally:
+        gate.set()
+        append.join()
+    assert status == 200 and health["status"] == "ok"
+    assert elapsed < ORACLE_HOLD / 2, f"/healthz waited {elapsed:.1f}s"
+    assert still_held
+    status, running = answers[0]
+    assert status == 200
+    assert running["self_checked_transitions"] > 0
+    request_once(port, "DELETE", f"/v1/sessions/{sid}")
+
+
+def test_self_check_append_has_a_deadline(serve_registry, served_adder4,
+                                          gated_oracle):
+    """A self-check append that outlives ``request_timeout`` answers 504."""
+    instance = EstimationServer(serve_registry, request_timeout=0.5)
+    with ServerThread(instance) as thread:
+        sid = _self_check_session(thread.port)
+        status, answer = request_once(
+            thread.port, "POST", f"/v1/sessions/{sid}/append",
+            {"bits": _bits(12, seed=8).tolist()},
+        )
+        gated_oracle[0].set()
+    assert status == 504
+    assert answer["error"]["code"] == "deadline_exceeded"
 
 
 def test_http_long_session_with_interleaved_short_sessions(
