@@ -32,8 +32,9 @@ bench-small:
 	REPRO_BENCH_SCALE=small pytest benchmarks/ --benchmark-only -s
 
 # Simulation kernel comparison (bool reference vs compiled engine)
-# on a 16-bit multiplier; verifies bit-for-bit parity and appends the
-# speedups to BENCH_simulate.json.
+# on a 16-bit multiplier; verifies bit-for-bit parity and the < 2%
+# disabled-tracing budget and prints the timings.  The trajectory is
+# BENCH_e2e.json (bench-e2e); BENCH_simulate.json is history.
 bench-sim:
 	PYTHONPATH=src python benchmarks/bench_simulate.py
 

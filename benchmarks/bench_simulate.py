@@ -1,23 +1,22 @@
 """Simulation kernel benchmark: the compiled engine vs the bool reference.
 
 Times a glitch-aware reference simulation of a 16-bit CSA multiplier under
-both engines, checks the bit-for-bit parity contract, and appends the
-measurement to ``BENCH_simulate.json`` at the repository root so the
-performance trajectory is tracked run over run.  Entries recorded before
-the bit-packed engine was removed also carry ``packed_seconds``.
+both engines, checks the bit-for-bit parity contract and the < 2%
+disabled-tracing budget, and prints the measurement.  The performance
+trajectory lives in ``BENCH_e2e.json`` (``make bench-e2e``);
+``BENCH_simulate.json`` is kept as the history of this script's earlier
+runs and is no longer appended to.
 
 Two entry points:
 
 * ``make bench-sim`` / ``python benchmarks/bench_simulate.py`` — standalone,
-  best-of-N wall-clock timing, writes the JSON entry;
+  best-of-N wall-clock timing, printed;
 * ``pytest benchmarks/ --benchmark-only`` — the ``test_*`` functions below,
   timed by pytest-benchmark like every other benchmark module.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +29,6 @@ SMALL = os.environ.get("REPRO_BENCH_SCALE", "full") == "small"
 N_PATTERNS = 2049 if SMALL else 8193
 #: Best-of-N guards against scheduler noise on shared hosts.
 REPEATS = 5
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_simulate.json"
 
 
 def _stream(module, n_patterns, seed=7):
@@ -90,7 +87,7 @@ def run_comparison(n_patterns=N_PATTERNS, glitch_weight=1.0, repeats=REPEATS):
 def measure_observability(record):
     """Traced exemplar + the < 2% disabled-tracing overhead guard.
 
-    Two measurements land in the bench record: the span summary of one
+    Two measurements land in the record: the span summary of one
     traced run (what ``--profile`` would show), and the disabled-tracing
     overhead — spans the run *would* open times the measured cost of one
     disabled ``span()`` call, relative to the compiled-engine wall clock.
@@ -121,19 +118,6 @@ def measure_observability(record):
         f"the 2% budget"
     )
     return record
-
-
-def append_entry(record, path=BENCH_FILE):
-    """Append one measurement to the JSON trajectory file."""
-    entries = []
-    if path.exists():
-        try:
-            entries = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            entries = []
-    entries.append({"timestamp": time.time(), **record})
-    path.write_text(json.dumps(entries, indent=2) + "\n")
-    return path
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +165,6 @@ def main():
     print(f"  tracing:       {record['tracing_spans']:8d} spans/run, "
           f"disabled overhead "
           f"{record['tracing_disabled_overhead'] * 100:.3f}% (< 2% budget)")
-    path = append_entry(record)
-    print(f"  recorded in {path}")
 
 
 if __name__ == "__main__":

@@ -690,10 +690,20 @@ class ChunkKernel:
 
         ``old_packed``/``new_packed`` are the chunk's packed
         ``[n_inputs, n_words]`` vectors.  The views are overwritten by
-        the next call.
+        the next call.  Anything else raises ``ValueError`` before an
+        address reaches C: inputs are not cast, so a float or signed
+        array is refused rather than truncated or wrapped.
         """
-        old_packed = np.ascontiguousarray(old_packed, dtype=np.uint64)
-        new_packed = np.ascontiguousarray(new_packed, dtype=np.uint64)
+        for packed in (old_packed, new_packed):
+            if (not isinstance(packed, np.ndarray) or packed.ndim != 2
+                    or packed.dtype != np.uint64):
+                raise ValueError(
+                    f"expected [{self._n_inputs}, n_words] uint64 packed "
+                    f"inputs, got {getattr(packed, 'dtype', type(packed))} "
+                    f"of shape {np.shape(packed)}"
+                )
+        old_packed = np.ascontiguousarray(old_packed)
+        new_packed = np.ascontiguousarray(new_packed)
         n_words = old_packed.shape[1]
         if (old_packed.shape != (self._n_inputs, n_words)
                 or new_packed.shape != old_packed.shape

@@ -146,6 +146,16 @@ class Gauge(_Metric):
         with self._lock:
             self._values[key] = float(value)
 
+    def set_series(
+        self, series: Iterable[Tuple[Tuple[str, ...], float]]
+    ) -> None:
+        """Set several series under one lock, each keyed by its label
+        values in ``label_names`` order.  The keys are not checked: this
+        is for callers whose label set is fixed in code."""
+        with self._lock:
+            for key, value in series:
+                self._values[key] = float(value)
+
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         key = self._key(labels)
         with self._lock:

@@ -9,6 +9,10 @@ Three views over one :class:`~repro.obs.tracing.TraceContext`:
 * :func:`span_summary` — per-name ``{count, total_s, max_s}`` rollup,
   compact enough for a serve response envelope or a ``BENCH_*.json``
   record.
+
+:func:`request_trace` builds the summary and the chrome events of one
+served request in a single pass; the other two views take theirs from
+it.
 """
 
 from __future__ import annotations
@@ -20,20 +24,40 @@ from .events import EVENTS
 from .tracing import TraceContext
 
 
-def chrome_trace(ctx: TraceContext, counters: bool = True) -> Dict[str, Any]:
+def chrome_trace(ctx: TraceContext) -> Dict[str, Any]:
     """Render a context as a Chrome Trace Event JSON object.
 
     Every span becomes a complete (``"ph": "X"``) event; timestamps are
     microseconds relative to the earliest span so the viewer opens at
-    t=0.  With ``counters`` the shared event-counter snapshot rides along
-    in ``otherData``; a per-request serve trace leaves it out, since the
-    process-wide totals say nothing about one request and ``/metrics``
-    already serves them.
+    t=0.  The shared event-counter snapshot rides along in
+    ``otherData``.
+    """
+    chrome = request_trace(ctx)[1]
+    chrome["otherData"]["counters"] = EVENTS.snapshot()
+    return chrome
+
+
+def request_trace(
+    ctx: TraceContext,
+) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Any]]:
+    """:func:`span_summary` and the chrome object of one served request,
+    from one pass over the records.
+
+    The chrome object is :func:`chrome_trace` without the counter
+    snapshot: the process-wide totals say nothing about one request, and
+    ``/metrics`` already serves them.
     """
     records = ctx.records()
     origin = min((r["start"] for r in records), default=0.0)
+    summary: Dict[str, Dict[str, float]] = {}
     events: List[Dict[str, Any]] = []
     for record in records:
+        entry = summary.setdefault(
+            record["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0}
+        )
+        entry["count"] += 1
+        entry["total_s"] += record["dur"]
+        entry["max_s"] = max(entry["max_s"], record["dur"])
         attrs = {
             key: value for key, value in record["attrs"].items()
             if isinstance(value, (str, int, float, bool)) or value is None
@@ -48,14 +72,15 @@ def chrome_trace(ctx: TraceContext, counters: bool = True) -> Dict[str, Any]:
             "cat": "repro",
             "args": attrs,
         })
-    other: Dict[str, Any] = {"trace_id": ctx.trace_id}
-    if counters:
-        other["counters"] = EVENTS.snapshot()
-    return {
+    for entry in summary.values():
+        entry["total_s"] = round(entry["total_s"], 6)
+        entry["max_s"] = round(entry["max_s"], 6)
+    chrome = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": other,
+        "otherData": {"trace_id": ctx.trace_id},
     }
+    return summary, chrome
 
 
 def write_chrome(ctx: TraceContext, path: str) -> str:
@@ -97,18 +122,7 @@ def validate_chrome(obj: Any) -> List[str]:
 
 def span_summary(ctx: TraceContext) -> Dict[str, Dict[str, float]]:
     """Per-span-name rollup: ``{name: {count, total_s, max_s}}``."""
-    summary: Dict[str, Dict[str, float]] = {}
-    for record in ctx.records():
-        entry = summary.setdefault(
-            record["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0}
-        )
-        entry["count"] += 1
-        entry["total_s"] += record["dur"]
-        entry["max_s"] = max(entry["max_s"], record["dur"])
-    for entry in summary.values():
-        entry["total_s"] = round(entry["total_s"], 6)
-        entry["max_s"] = round(entry["max_s"], 6)
-    return summary
+    return request_trace(ctx)[0]
 
 
 def _aggregate_paths(

@@ -128,8 +128,9 @@ class ServeMetrics:
         its per-span-name totals overwrite the previous exemplar gauges.
         """
         self.traced_requests_total.inc()
-        for name, entry in summary.items():
-            self.trace_span_seconds.set(entry["total_s"], span=name)
+        self.trace_span_seconds.set_series(
+            ((name,), entry["total_s"]) for name, entry in summary.items()
+        )
 
     def render(self) -> str:
         """Serve-local series followed by the shared repro.obs counters."""

@@ -52,11 +52,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
+import numpy as np
+
 from ..modules.library import module_kinds
 from ..modules.spec import UnknownModuleError, resolve_spec
 from ..obs import tracing
-from ..obs.export import chrome_trace, span_summary
+from ..obs.export import request_trace
 from .batching import MicroBatcher, streams_to_bits
+from .body import BodyError, decode_body
 from .metrics import ServeMetrics
 from .registry import (
     CharacterizationFailed,
@@ -114,15 +117,12 @@ class _Request:
     body: bytes
 
     def json(self) -> Dict[str, Any]:
-        if not self.body:
-            raise ApiError(400, "bad_request", "request body required")
+        """The body's JSON object, a canonical ``bits`` value decoded to
+        a bool matrix (:func:`~repro.serve.body.decode_body`)."""
         try:
-            payload = json.loads(self.body)
-        except (ValueError, UnicodeDecodeError):
-            raise ApiError(400, "bad_request", "body is not valid JSON")
-        if not isinstance(payload, dict):
-            raise ApiError(400, "bad_request", "body must be a JSON object")
-        return payload
+            return decode_body(self.body)
+        except BodyError as error:
+            raise ApiError(400, "bad_request", str(error))
 
 
 #: Response header marking the deprecated top-level addressing fields
@@ -583,14 +583,14 @@ class EstimationServer:
             "serve.request", method=request.method, path=request.path
         ) as ctx:
             status, payload, extra = await self._dispatch_inner(request)
-        summary = span_summary(ctx)
+        summary, chrome = request_trace(ctx)
         self.metrics.note_trace(summary)
         if isinstance(payload, dict):
             payload = dict(payload)
             payload["trace"] = {
                 "trace_id": ctx.trace_id,
                 "spans": summary,
-                "chrome": chrome_trace(ctx, counters=False),
+                "chrome": chrome,
             }
         return status, payload, extra
 
@@ -819,18 +819,7 @@ class EstimationServer:
 
         if endpoint == "session_append":
             with tracing.span("serve.parse"):
-                payload = request.json()
-                rows = payload.get("bits")
-                if not isinstance(rows, list):
-                    raise ApiError(
-                        400, "bad_request",
-                        "'bits' must be a (possibly empty) list of 0/1 rows",
-                    )
-                if len(rows) > MAX_TRACE_ROWS:
-                    raise ApiError(
-                        413, "too_large",
-                        f"segment longer than {MAX_TRACE_ROWS} rows",
-                    )
+                rows = self._parse_segment(request.json())
             with self._admitted():
                 estimate = await self._session_op(
                     self.sessions.append, session_id, rows
@@ -933,9 +922,27 @@ class EstimationServer:
                            "'words' must hold >= 2 words per operand")
         return bits
 
-    def _parse_bits(self, payload: Dict[str, Any], input_bits: int):
+    @staticmethod
+    def _parse_segment(payload: Dict[str, Any]):
+        """The ``bits`` of a session append: rows checked by the session."""
         rows = payload.get("bits")
-        if not isinstance(rows, list) or len(rows) < 2:
+        if not isinstance(rows, (list, np.ndarray)):
+            raise ApiError(
+                400, "bad_request",
+                "'bits' must be a (possibly empty) list of 0/1 rows",
+            )
+        if len(rows) > MAX_TRACE_ROWS:
+            raise ApiError(
+                413, "too_large",
+                f"segment longer than {MAX_TRACE_ROWS} rows",
+            )
+        return rows
+
+    @staticmethod
+    def _parse_bits(payload: Dict[str, Any], input_bits: int):
+        """The ``[n >= 2, input_bits]`` bool matrix of a ``bits`` request."""
+        rows = payload.get("bits")
+        if not isinstance(rows, (list, np.ndarray)) or len(rows) < 2:
             raise ApiError(400, "bad_request",
                            "'bits' must be a list of >= 2 rows of 0/1")
         if len(rows) > MAX_TRACE_ROWS:

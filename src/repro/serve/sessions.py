@@ -152,7 +152,15 @@ class RunningEstimate:
 
 def bit_matrix(bits: Any, width: int) -> np.ndarray:
     """The ``[n, width]`` 0/1 input matrix as bool; ``ValueError`` for a
-    wrong shape or any other entry (empty input gives ``[0, width]``)."""
+    wrong shape or any other entry (empty input gives ``[0, width]``).
+
+    A bool ``[n, width]`` array is already that matrix and comes back
+    as it is, so validating a segment twice costs nothing the second
+    time.
+    """
+    if (isinstance(bits, np.ndarray) and bits.dtype == bool
+            and bits.ndim == 2 and bits.shape[1] == width):
+        return bits
     matrix = np.asarray(bits)
     if matrix.ndim == 1 and matrix.size == 0:
         return np.zeros((0, width), dtype=bool)

@@ -322,6 +322,26 @@ def test_chunk_kernel_bound_once_per_simulator():
         kernel.run(np.zeros((1, 1), np.uint64), np.zeros((1, 1), np.uint64), 1)
 
 
+@pytest.mark.parametrize("make_input", [
+    lambda n: np.zeros(n, np.uint64),  # 1-D: no word axis
+    lambda n: np.full((n, 1), 1.5),  # float: would be cast to 1
+    lambda n: np.full((n, 1), -1, np.int64),  # signed: would wrap to ones
+], ids=["one_dim", "float", "negative_int64"])
+def test_chunk_kernel_refuses_malformed_inputs(make_input):
+    """A wrongly shaped or typed packed input raises ``ValueError``
+    before the C call instead of being reshaped, cast or wrapped."""
+    _require_native()
+    module = make_module("ripple_adder", 8)
+    sim = PowerSimulator(module.compiled, engine="compiled")
+    sim.simulate(_stream(module, 100, seed=1))
+    n_inputs = len(module.compiled.netlist.inputs)
+    good = np.zeros((n_inputs, 1), np.uint64)
+    with pytest.raises(ValueError):
+        sim._kernel.run(make_input(n_inputs), good, 1)
+    with pytest.raises(ValueError):
+        sim._kernel.run(good, make_input(n_inputs), 1)
+
+
 def test_library_path_tracks_flags_and_compiler():
     """The cached object is named by source, flags and compiler, so a
     flag or compiler change never reuses an object built another way."""

@@ -12,6 +12,7 @@ from repro.obs import (
     validate_chrome,
     write_chrome,
 )
+from repro.obs.export import request_trace
 
 
 def _sample_trace():
@@ -33,9 +34,11 @@ def test_chrome_trace_structure_and_validation():
     assert obj["displayTimeUnit"] == "ms"
     assert obj["otherData"]["trace_id"] == ctx.trace_id
     assert "repro_spans_recorded_total" in obj["otherData"]["counters"]
-    assert chrome_trace(ctx, counters=False)["otherData"] == {
-        "trace_id": ctx.trace_id
-    }
+    # A served request's trace block leaves the process-wide counters out.
+    summary, chrome = request_trace(ctx)
+    assert summary == span_summary(ctx)
+    assert chrome["otherData"] == {"trace_id": ctx.trace_id}
+    assert chrome["traceEvents"] == obj["traceEvents"]
     events = obj["traceEvents"]
     assert len(events) == 5
     assert {e["ph"] for e in events} == {"X"}
