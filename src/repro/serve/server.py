@@ -449,7 +449,19 @@ class EstimationServer:
         self._connections.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ApiError as error:
+                    # The body's extent is unknown, so the stream cannot
+                    # be resynchronized: answer and close.
+                    self.metrics.requests_total.inc(
+                        endpoint="other", status=str(error.status)
+                    )
+                    await self._write_response(
+                        writer, error.status, error.body(), error.headers,
+                        keep_alive=False,
+                    )
+                    break
                 if request is None:
                     break
                 self._enter_request()
@@ -498,9 +510,19 @@ class EstimationServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise ApiError(
+                400, "bad_request",
+                f"Content-Length must be a non-negative integer, "
+                f"got {declared[:32]!r}",
+            )
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise ConnectionError("body too large")
+            raise ApiError(
+                413, "too_large",
+                f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
+            )
         body = await reader.readexactly(length) if length else b""
         return _Request(
             method=method.upper(), path=path, headers=headers, body=body

@@ -41,16 +41,20 @@ from .wordstats import WordStats, word_stats
 #: Gauss-Legendre order for the bivariate-normal orthant integral.
 _QUADRATURE_ORDER = 200
 
-try:
-    # Exact (machine-precision) vectorized normal CDF when scipy is
-    # around; both branches agree with the erf definition to < 1e-15.
-    from scipy.special import ndtr as _normal_cdf
-except ImportError:  # pragma: no cover - environment-dependent
-    _SQRT2 = math.sqrt(2.0)
-    _vec_erf = np.vectorize(math.erf, otypes=[np.float64])
+_SQRT1_2 = math.sqrt(0.5)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-    def _normal_cdf(z):
-        return 0.5 * (1.0 + _vec_erf(np.asarray(z, dtype=np.float64) / _SQRT2))
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF ``Φ(z) = (1 + erf(z/√2)) / 2`` of a 1-D array.
+
+    numpy has no erf ufunc, so ``math.erf`` is mapped over the array's
+    buffer: about twice as fast as ``np.vectorize`` at the quadrature's
+    size.  Agrees with the exact CDF to ~1e-16 absolute over the whole
+    real line, tails included.
+    """
+    t = memoryview(z * _SQRT1_2)
+    return 0.5 * (1.0 + np.fromiter(map(math.erf, t), np.float64, len(t)))
 
 
 @lru_cache(maxsize=4)
@@ -74,7 +78,7 @@ def gaussian_sign_activity(rho: float, mean_over_sigma: float = 0.0) -> float:
     Returns:
         ``P(sign(x_t) != sign(x_{t+1}))``; ``arccos(ρ)/π`` when ``h = 0``.
     """
-    rho = float(np.clip(rho, -1.0, 1.0))
+    rho = min(max(float(rho), -1.0), 1.0)
     h = float(mean_over_sigma)
     if abs(h) < 1e-12:
         return float(np.arccos(rho) / np.pi)
@@ -87,19 +91,18 @@ def gaussian_sign_activity(rho: float, mean_over_sigma: float = 0.0) -> float:
     upper = 8.0 + abs(h)
     x = 0.5 * (nodes + 1.0) * upper
     w = 0.5 * upper * weights
-    sq = np.sqrt(1.0 - rho * rho)
-
-    def phi(z):
-        return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-
-    # Term 1: X > 0, Y <= 0.
-    cond1 = _normal_cdf(-(h + rho * (x - h)) / sq)
-    term1 = float((phi(x - h) * cond1 * w).sum())
-    # Term 2: X <= 0, Y > 0; substitute x -> -x (x > 0 domain).
-    # P(Y > 0 | X = -x) = 1 - Phi(-(h + rho(-x - h)) / sq).
-    cond2 = 1.0 - _normal_cdf(-(h + rho * (-x - h)) / sq)
-    term2 = float((phi(-x - h) * cond2 * w).sum())
-    return float(np.clip(term1 + term2, 0.0, 1.0))
+    n = len(x)
+    # Both terms at once: d is x - h for term 1, then -x - h for term 2
+    # (X <= 0, Y > 0 after substituting x -> -x, so x > 0 again).
+    d = np.concatenate((x, -x)) - h
+    density = np.exp(-0.5 * d * d) / _SQRT_2PI
+    # Term 1: P(Y <= 0 | X = x) = Phi(-(h + rho (x - h)) / sq).
+    # Term 2: P(Y > 0 | X = -x) = 1 - Phi(-(h + rho (-x - h)) / sq),
+    # which is Phi((h + rho (-x - h)) / sq): one CDF call for both.
+    z = (h + rho * d) / math.sqrt(1.0 - rho * rho)
+    np.negative(z[:n], out=z[:n])
+    term1, term2 = ((density * _normal_cdf(z)).reshape(2, n) * w).sum(axis=1)
+    return min(max(float(term1) + float(term2), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -135,10 +138,12 @@ class DbtModel:
         sigma_d = max(stats.difference_sigma, 1e-12)
         bp0 = np.log2(sigma_d) - 1.0
         bp1 = np.log2(abs(stats.mean) + 3.0 * sigma)
-        bp0 = float(np.clip(bp0, 0.0, width))
-        bp1 = float(np.clip(bp1, bp0, width))
+        # Scalar min/max, not np.clip: same values, and np.clip on a
+        # scalar costs microseconds on the analytic-estimate path.
+        bp0 = float(min(max(bp0, 0.0), width))
+        bp1 = float(min(max(bp1, bp0), width))
         t_sign = gaussian_sign_activity(stats.rho, stats.mean / sigma)
-        n_rand = int(np.clip(round(bp0 + 0.5 * (bp1 - bp0)), 0, width))
+        n_rand = min(max(round(bp0 + 0.5 * (bp1 - bp0)), 0), width)
         n_sign = width - n_rand
         return cls(width=width, bp0=bp0, bp1=bp1, t_sign=t_sign,
                    n_rand=n_rand, n_sign=n_sign)

@@ -8,6 +8,7 @@ derived from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ class WordStats:
 
     @property
     def sigma(self) -> float:
-        return float(np.sqrt(max(self.variance, 0.0)))
+        return math.sqrt(max(self.variance, 0.0))
 
     @property
     def difference_sigma(self) -> float:
@@ -41,7 +42,7 @@ class WordStats:
         difference process, which is why it controls the uncorrelated-region
         breakpoint (see :mod:`repro.stats.dbt`).
         """
-        return self.sigma * float(np.sqrt(max(2.0 * (1.0 - self.rho), 0.0)))
+        return self.sigma * math.sqrt(max(2.0 * (1.0 - self.rho), 0.0))
 
     def scaled(self, factor: float) -> "WordStats":
         """Statistics of ``factor * x`` (constant multiplication)."""

@@ -17,7 +17,7 @@ import pytest
 from repro.eval import ExperimentConfig
 from repro.runtime import ModelCache
 from repro.serve import EstimationServer, ModelRegistry, ServerThread
-from repro.serve.server import MAX_TRACE_ROWS
+from repro.serve.server import MAX_BODY_BYTES, MAX_TRACE_ROWS
 
 from .conftest import (
     SOCKET_TIMEOUT,
@@ -224,6 +224,44 @@ def test_malformed_json_is_400(server):
     )
     assert status == 400
     assert json.loads(raw)["error"]["code"] == "bad_request"
+
+
+@pytest.mark.parametrize("declared, status, code", [
+    ("abc", "400 Bad Request", "bad_request"),
+    ("-5", "400 Bad Request", "bad_request"),
+    (str(MAX_BODY_BYTES + 1), "413 Payload Too Large", "too_large"),
+])
+def test_bad_content_length_is_answered_and_closes(
+    server, declared, status, code
+):
+    """A Content-Length that is not a non-negative integer gets a
+    structured 400, one over the body limit a 413, and the connection is
+    closed (the body is never read); the server keeps serving new
+    connections."""
+    async def go():
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port
+        )
+        try:
+            writer.write(
+                b"POST /v1/estimate/bits HTTP/1.1\r\nHost: t\r\n"
+                + f"Content-Length: {declared}\r\n\r\n".encode()
+            )
+            await writer.drain()
+            return await asyncio.wait_for(reader.read(), timeout=10)
+        finally:
+            writer.close()
+
+    raw = asyncio.run(go())  # read() returns at EOF: the server closed
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0] == f"HTTP/1.1 {status}"
+    assert "Connection: close" in lines
+    error = json.loads(body)["error"]
+    assert error["code"] == code
+    assert declared in error["message"]
+    status, _ = request(server.port, "GET", "/healthz")
+    assert status == 200
 
 
 #: Values of the wrong type or out of range, tried in every field.

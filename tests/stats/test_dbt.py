@@ -248,3 +248,51 @@ def test_quadrature_rule_is_cached():
     nodes2, weights2 = _gauss_legendre(_QUADRATURE_ORDER)
     assert nodes1 is nodes2 and weights1 is weights2
     assert len(nodes1) == _QUADRATURE_ORDER
+
+
+# ----------------------------------------------------------------------
+# The scipy-free normal CDF: accuracy against scipy's ``ndtr`` and the
+# sign activity pinned to values computed with ``ndtr``.
+# ----------------------------------------------------------------------
+def test_normal_cdf_matches_ndtr_including_tails():
+    special = pytest.importorskip("scipy.special")
+    from repro.stats.dbt import _normal_cdf
+
+    z = np.concatenate((
+        np.linspace(-40.0, 40.0, 8001),
+        [-38.5, -8.3, -5.0, -1e-3, -1e-300, 0.0, 1e-300, 1e-3, 5.0, 8.3],
+    ))
+    cdf = _normal_cdf(z)
+    assert cdf.shape == z.shape and cdf.dtype == np.float64
+    assert np.abs(cdf - special.ndtr(z)).max() <= 1e-15
+    assert cdf[0] == 0.0 and cdf[8000] == 1.0
+
+
+#: ``gaussian_sign_activity`` on a (rho, h) grid, computed with
+#: ``scipy.special.ndtr`` as the normal CDF.
+_SIGN_ACTIVITY_RHOS = (-0.99, -0.6, -0.2, 0.3, 0.7, 0.95, 0.999)
+_SIGN_ACTIVITY_HS = (-3.0, -0.4, 0.02, 0.9, 2.5, 6.0)
+_SIGN_ACTIVITY_NDTR = (
+    (0.00269979606325944, 0.6891565166336147, 0.953162459102779,
+     0.3681202506935136, 0.012419330651551187, 1.973174667979104e-09),
+    (0.0026997960621401224, 0.611783001552042, 0.7045781761963706,
+     0.3617326283551667, 0.012419329132668796, 1.9731752401281314e-09),
+    (0.0026995345623738393, 0.5053036036229644, 0.5639383008770786,
+     0.32636072611759115, 0.012408193482125594, 1.9731752900725002e-09),
+    (0.002652093031769744, 0.3673492871817515, 0.4029198967588311,
+     0.2525010854228039, 0.011894438081810042, 1.9731616781068816e-09),
+    (0.002239848716142393, 0.23266962469916888, 0.2531298300102297,
+     0.1650976372562225, 0.00944791680356748, 1.9537969007310195e-09),
+    (0.0010814693703881833, 0.09324768959607316, 0.10106223801058867,
+     0.06718868308384843, 0.004326208644014083, 1.3334521387593592e-09),
+    (0.0001580339560389953, 0.013141712796655127, 0.014233589928831836,
+     0.009494732485332783, 0.0006251796545604832, 2.1617170668061432e-10),
+)
+
+
+def test_sign_activity_matches_ndtr_values():
+    for rho, row in zip(_SIGN_ACTIVITY_RHOS, _SIGN_ACTIVITY_NDTR):
+        for h, expected in zip(_SIGN_ACTIVITY_HS, row):
+            assert gaussian_sign_activity(rho, h) == pytest.approx(
+                expected, rel=0, abs=1e-12
+            ), (rho, h)

@@ -54,3 +54,32 @@ def test_public_classes_have_docstrings():
             if callable(obj) and not (obj.__doc__ or "").strip():
                 undocumented.append(f"repro.{name}.{symbol}")
     assert not undocumented, undocumented
+
+
+def test_runtime_entry_points_do_not_load_scipy():
+    """numpy is the only runtime dependency: the CLI, the server, the
+    library API and the characterization worker's import chain must not
+    pull in scipy (a test-only extra), which costs ~17 MB of resident
+    memory and ~0.2 s on every process start."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = "\n".join([
+        "import sys",
+        "import repro.api, repro.cli, repro.eval.harness, repro.runtime.service",
+        "import repro.serve",
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "print('SCIPY-MODULES', loaded)",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "SCIPY-MODULES []" in proc.stdout, proc.stdout
